@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteDistribution, Histogram, Profile, profile_of_histogram
+from .core import Histogram, Profile, profile_of_histogram
 from .harness import (
     ExperimentConfig,
     coefficients_to_csv,
@@ -27,7 +27,7 @@ from .harness import (
     trials_to_csv,
 )
 from .intervals import DEFAULT_C1, build_scheme
-from .lmm import DEFAULT_GRID_DENSITY, estimate_sorted_distribution
+from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
 from .pml import brute_force_pml
 
@@ -48,7 +48,7 @@ def _cmd_estimate(args) -> int:
     n = args.n or h.n
     scheme = build_scheme(n, args.c1, "estimator")
     t0 = time.perf_counter()
-    res = estimate_sorted_distribution(h, k, scheme, c2=args.c2, grid_density=args.grid)
+    res = estimate_sorted_distribution(h, k, scheme, c2=args.c2)
     print(f"estimate: {time.perf_counter() - t0:.3f}s status={res.solver_status}", file=sys.stderr)
     _write(Path(args.out), res.to_json() + "\n")
     return 0
@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--n", type=int, default=0, help="nominal sample size (default: sum of counts)")
     est.add_argument("--c1", type=float, default=DEFAULT_C1)
     est.add_argument("--c2", type=float, default=DEFAULT_C2)
-    est.add_argument("--grid", type=int, default=DEFAULT_GRID_DENSITY)
     est.add_argument("--out", required=True)
     est.set_defaults(func=_cmd_estimate)
 

@@ -201,9 +201,6 @@ class AtomicMeasure:
             np.concatenate([self.weights, other.weights]),
         )
 
-    def scaled(self, factor: float) -> "AtomicMeasure":
-        return AtomicMeasure(self.locations, self.weights * factor)
-
     def __repr__(self):
         return f"AtomicMeasure({self.locations.size} atoms, mass={self.total_mass:.6g})"
 

@@ -12,19 +12,17 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    AtomicMeasure,
     DiscreteDistribution,
     Histogram,
     enumerate_profiles,
     measure_of,
-    poisson_pmf,
     profile_probability,
     sorted_l1,
     sorted_l1_vectors,
 )
 from .errors import DomainError, ResourceLimitError
 from .intervals import DEFAULT_C1, build_scheme
-from .lmm import DEFAULT_GRID_DENSITY, estimate_sorted_distribution
+from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
 from .pml import brute_force_pml, good_set, min_prob_round
 from .poisson_approx import (
@@ -35,7 +33,7 @@ from .poisson_approx import (
     naive_coefficients,
     verify_bounds,
 )
-from .sampling import empirical_measure, sample_iid, sample_poissonized, substream
+from .sampling import sample_iid, sample_poissonized, substream
 from .wasserstein import w1
 
 __all__ = [
@@ -65,7 +63,6 @@ class ExperimentConfig:
     delta: float = 1.0
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
-    grid_density: int | None = DEFAULT_GRID_DENSITY
     sampling: str = "poissonized"
     approx_c1: float = DEFAULT_APPROX_C1
     approx_c2: float = DEFAULT_APPROX_C2
@@ -151,9 +148,7 @@ def run_benchmark(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
         else:
             h = sample_iid(p, config.n, gen)
         t0 = time.perf_counter()
-        res = estimate_sorted_distribution(
-            h, config.k, scheme, c2=config.c2, grid_density=config.grid_density
-        )
+        res = estimate_sorted_distribution(h, config.k, scheme, c2=config.c2)
         lmm_time = time.perf_counter() - t0
         lmm_err = config.k * w1(res.measure, mu_p)
         records.append(TrialRecord(trial, "lmm", lmm_err, res.objective_value, lmm_time))

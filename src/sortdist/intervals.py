@@ -185,8 +185,7 @@ def localization_check(scheme: IntervalScheme, p: float, m: int) -> tuple[float,
     i = scheme.index(m)
     n = scheme.n
     lam = n * p
-    in_lo = int(math.ceil(scheme.tilde_left[i] * n - 1e-12))
-    in_hi = int(math.floor(scheme.tilde_right[i] * n + 1e-12))
+    in_lo, in_hi = scheme.full_range(m)
     tail_out = _pmf_sum(lam, 0, in_lo - 1) + _right_tail_sum(lam, in_hi + 1)
     lo = int(math.floor(scheme.left[i] * n + 1e-12)) + 1
     hi = int(math.floor(scheme.right[i] * n + 1e-12))

@@ -30,25 +30,21 @@ __all__ = [
     "surrogate_loss",
     "estimate_sorted_distribution",
     "reference_decomposition",
-    "DEFAULT_GRID_DENSITY",
 ]
 
 # Atoms per interval.  A fixed grid of ~max(4D, 16) points leaves intervals
 # coarser than the 1/k mass scale they must resolve, and the LP's
-# mean-preserving vertex splits then dominate the error.  The default sizes
-# each interval's uniform grid to a spacing of about 1/(8k), clamped to
-# [MIN_GRID, MAX_GRID]; passing an integer forces that count everywhere.
-DEFAULT_GRID_DENSITY = None
+# mean-preserving vertex splits then dominate the error.  Each interval's
+# uniform grid therefore has a spacing of about 1/(8k), clamped to
+# [MIN_GRID, MAX_GRID] points and never fewer than max(2D, 2).
 MIN_GRID = 32
 MAX_GRID = 4096
 
 _WEIGHT_EPS = 1e-11
 
 
-def _grid_count(length: float, k: int, grid_density: int | None) -> int:
-    if grid_density is not None:
-        return grid_density
-    return int(np.clip(math.ceil(8.0 * k * length), MIN_GRID, MAX_GRID))
+def _grid_count(length: float, k: int, depth: int) -> int:
+    return max(int(np.clip(math.ceil(8.0 * k * length), MIN_GRID, MAX_GRID)), 2 * depth, 2)
 
 
 @dataclass
@@ -85,12 +81,7 @@ class EstimateResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def build_lp(
-    targets: MomentTable,
-    scheme: IntervalScheme,
-    k: int,
-    grid_density: int | None = DEFAULT_GRID_DENSITY,
-) -> LPInstance:
+def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance:
     """Assemble the LP over grid atom weights plus one slack per residual term.
 
     Weight variables live on a uniform grid per enlarged interval, restricted
@@ -98,8 +89,6 @@ def build_lp(
     so only their (constant) cumulative-mass residuals enter the objective.
     """
     depth = targets.depth
-    if grid_density is not None and grid_density < max(2 * depth, 2):
-        raise DomainError("grid_density must be at least 2*depth")
     if targets.M != scheme.M:
         raise DomainError("moment table and scheme disagree on interval count")
 
@@ -110,8 +99,7 @@ def build_lp(
         if lo >= 1.0:
             break
         hi = min(float(scheme.tilde_right[m - 1]), 1.0)
-        count = max(_grid_count(hi - lo, k, grid_density), 2 * depth, 2)
-        grids.append(np.linspace(lo, hi, count))
+        grids.append(np.linspace(lo, hi, _grid_count(hi - lo, k, depth)))
         included.append(m)
     if not included:
         raise DomainError("no interval intersects [0, 1]")
@@ -176,9 +164,9 @@ def build_lp(
     )
 
 
-def solve_lp(lp: LPInstance, pivot_cap: int = 10**6) -> EstimateResult:
+def solve_lp(lp: LPInstance) -> EstimateResult:
     """Solve to a deterministic vertex; returns the measure before zero-completion."""
-    res = simplex_solve(lp.c, lp.A, lp.b, pivot_cap=pivot_cap)
+    res = simplex_solve(lp.c, lp.A, lp.b)
     w = res.x[:lp.n_weights]
     locs = np.concatenate(lp.grids)
     keep = w > _WEIGHT_EPS
@@ -262,7 +250,6 @@ def estimate_sorted_distribution(
     k: int,
     scheme: IntervalScheme | None = None,
     c2: float = DEFAULT_C2,
-    grid_density: int | None = DEFAULT_GRID_DENSITY,
     c1: float = DEFAULT_C1,
 ) -> EstimateResult:
     """End-to-end estimate of the sorted mass multiset from a histogram.
@@ -278,7 +265,7 @@ def estimate_sorted_distribution(
         scheme = build_scheme(h.n, c1, "estimator")
     depth = degree_for(scheme.n, c2)
     targets = moment_table_estimate(h, scheme, depth, c2=c2, clamped=True)
-    lp = build_lp(targets, scheme, k, grid_density)
+    lp = build_lp(targets, scheme, k)
     partial = solve_lp(lp)
     mu0 = partial.measure
     leftover = max(0.0, 1.0 - mu0.total_mass)

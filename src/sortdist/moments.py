@@ -81,23 +81,6 @@ def g_eval(d: int, center: float, x: float, n: int) -> float:
     return float(g_family(d, center, np.asarray([x]), n)[d][0])
 
 
-def g_eval_direct(d: int, center: float, x: float, n: int) -> float:
-    """Explicit alternating-sum form; oracle for small d only (loses digits at d ~ 25)."""
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
-    prefix = 1.0
-    for dp in range(d + 1):
-        term = math.comb(d, dp) * (-center) ** (d - dp) * prefix
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        prefix *= x - 2.0 * dp / n
-    return total + comp
-
-
 def g_tilde_eval(d: int, m: int, x, scheme: IntervalScheme):
     """Kernel clamped at the interval's cutoff points (constant outside)."""
     i = scheme.index(m)
@@ -121,10 +104,6 @@ class MomentTable:
 
     def value(self, m: int, d: int) -> float:
         return float(self.values[m - 1, d])
-
-    def tail_mass_from(self, m: int) -> float:
-        """Sum of the degree-0 entries over intervals m' >= m."""
-        return float(self.values[m - 1:, 0].sum())
 
     def to_csv(self, truth: "MomentTable | None" = None) -> str:
         buf = io.StringIO()

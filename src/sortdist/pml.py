@@ -9,7 +9,6 @@ schedule solving the chained covering equations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction

@@ -12,7 +12,7 @@ O(n^(eps-1) sqrt(j)) of the plain choice f(j/n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -1,9 +1,11 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex.
 
-Solves min c.x subject to A x <= b, x >= 0.  Bland's smallest-index rule on
-entering and leaving variables prevents cycling and makes the returned
-vertex a deterministic function of the instance.  Not a general-purpose LP
-library: dense tableau, no presolve, sized for a few hundred rows.
+Solves min c.x subject to A x <= b, x >= 0.  One pivoting path: Dantzig
+pricing with ratio ties broken toward the numerically largest pivot, and
+Bland's smallest-index rule once the objective stalls, which prevents
+cycling.  Every choice is a deterministic function of the instance, so the
+returned vertex is too.  Not a general-purpose LP library: dense tableau,
+no presolve, sized for a few hundred rows.
 """
 
 from __future__ import annotations
@@ -16,13 +18,18 @@ __all__ = ["SimplexResult", "simplex_solve"]
 
 _TOL = 1e-9
 _RATIO_TIE = 1e-12
+_STALL_LIMIT = 64      # stalled pivots before switching to Bland's rule
+_PIVOT_CAP = 10**6     # pivots per phase
 
 
 @dataclass
 class SimplexResult:
     x: np.ndarray
     objective: float
-    status: str          # "optimal" or "iteration_cap"
+    # "optimal"; "unbounded" (objective -inf); "infeasible" (objective +inf);
+    # "iteration_cap"; or "degenerate": the final vertex violates the original
+    # constraints, i.e. tableau drift corrupted it
+    status: str
     pivots: int
 
 
@@ -32,9 +39,6 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
     basis[row] = col
-
-
-_STALL_LIMIT = 64
 
 
 def _choose_entering(red: np.ndarray, blocked: set[int], bland: bool) -> int:
@@ -50,61 +54,39 @@ def _choose_entering(red: np.ndarray, blocked: set[int], bland: bool) -> int:
     return j if masked[j] < -_TOL else -1
 
 
-_PIVOT_SAFE = 1e-7
-
-
-def _run_phase(
-    T: np.ndarray, basis: np.ndarray, ncols: int, cap: int, force_bland: bool = False
-) -> tuple[str, int]:
-    """Dantzig pricing, falling back to Bland's rule whenever the objective
+def _run_phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
+    """Dantzig pricing, switching to Bland's rule whenever the objective
     stalls, which guarantees termination on degenerate instances.  In Dantzig
-    mode, ratio ties resolve to the numerically largest pivot and columns
-    whose only admissible pivots are tiny are deferred; Bland mode keeps the
-    smallest-index rule intact for its anti-cycling property."""
+    mode ratio ties resolve to the numerically largest pivot; Bland mode keeps
+    the smallest-index rule intact for its anti-cycling property."""
     pivots = 0
     stall = 0
     best_obj = T[-1, -1]
     while True:
         red = T[-1, :ncols]
-        bland = force_bland or stall >= _STALL_LIMIT
+        bland = stall >= _STALL_LIMIT
         blocked: set[int] = set()
-        entering = leaving = -1
-        fallback: tuple[int, int] | None = None
         while True:
-            cand = _choose_entering(red, blocked, bland=bland)
-            if cand < 0:
-                break
-            col = T[:-1, cand]
+            entering = _choose_entering(red, blocked, bland=bland)
+            if entering < 0:
+                # nothing usefully negative remains (dust columns may have no
+                # admissible pivot row); declare the vertex optimal
+                return "optimal", pivots
+            col = T[:-1, entering]
             ok = col > _TOL
-            if not np.any(ok):
-                if red[cand] < -1e-6:
-                    return "unbounded", pivots
-                blocked.add(cand)
-                continue
-            rhs = T[:-1, -1]
-            ratios = np.where(ok, rhs / np.where(ok, col, 1.0), np.inf)
-            best = ratios.min()
-            ties = np.where(ratios <= best + _RATIO_TIE)[0]
-            if bland:
-                row = ties[np.argmin(basis[ties])]
-            else:
-                row = ties[np.argmax(col[ties])]
-                if col[row] < _PIVOT_SAFE:
-                    # a tiny pivot risks blowing the tableau up; prefer any
-                    # other improving column, but keep this one as a fallback
-                    if fallback is None:
-                        fallback = (cand, int(row))
-                    blocked.add(cand)
-                    continue
-            entering, leaving = cand, int(row)
-            break
-        if entering < 0 and fallback is not None:
-            entering, leaving = fallback
-        if entering < 0:
-            # nothing usefully negative remains (dust columns may have no
-            # admissible pivot row); declare the vertex optimal
-            return "optimal", pivots
-        _pivot(T, basis, leaving, entering)
+            if np.any(ok):
+                break
+            if red[entering] < -1e-6:
+                return "unbounded", pivots
+            blocked.add(entering)
+        rhs = T[:-1, -1]
+        ratios = np.where(ok, rhs / np.where(ok, col, 1.0), np.inf)
+        ties = np.where(ratios <= ratios.min() + _RATIO_TIE)[0]
+        if bland:
+            row = ties[np.argmin(basis[ties])]
+        else:
+            row = ties[np.argmax(col[ties])]
+        _pivot(T, basis, int(row), entering)
         pivots += 1
         # bottom-right holds minus the current objective, so progress raises it
         if T[-1, -1] > best_obj + 1e-13 * (1.0 + abs(best_obj)):
@@ -112,39 +94,25 @@ def _run_phase(
             stall = 0
         else:
             stall += 1
-        if pivots >= cap:
+        if pivots >= _PIVOT_CAP:
             return "iteration_cap", pivots
 
 
-def simplex_solve(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    pivot_cap: int = 10**6,
-) -> SimplexResult:
-    """Solve, verify the vertex against the original constraints, and fall
-    back to pure Bland pivoting if tableau drift corrupted it."""
+def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
+    """Solve, then verify an optimal vertex against the original constraints;
+    one that violates them is reported with status "degenerate"."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    scale = 1.0 + np.abs(b).max(initial=0.0)
-    for force_bland in (False, True):
-        res = _solve_scaled(c, A, b, pivot_cap, force_bland)
-        if res.status != "optimal":
-            return res
+    res = _solve_scaled(c, A, b)
+    if res.status == "optimal":
         violation = float((A @ res.x - b).max(initial=0.0))
-        if violation <= 1e-6 * scale:
-            return res
-    return SimplexResult(res.x, res.objective, "degenerate", res.pivots)
+        if violation > 1e-6 * (1.0 + np.abs(b).max(initial=0.0)):
+            res.status = "degenerate"
+    return res
 
 
-def _solve_scaled(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    pivot_cap: int,
-    force_bland: bool,
-) -> SimplexResult:
+def _solve_scaled(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     b = b.copy()
     m, n = A.shape
 
@@ -186,12 +154,13 @@ def _solve_scaled(
         T[-1, ncols:-1] = 1.0
         for idx, r in enumerate(art_rows):
             T[-1] -= T[r]
-        status, piv = _run_phase(T, basis, full.shape[1], pivot_cap, force_bland)
+        status, piv = _run_phase(T, basis, full.shape[1])
         total_pivots += piv
         # feasibility is decided by the artificial objective alone; leftover
         # reduced-cost dust after it reaches zero is not a failure
         if T[-1, -1] < -1e-7:
-            return SimplexResult(np.zeros(n), np.inf, "iteration_cap", total_pivots)
+            status = "iteration_cap" if status == "iteration_cap" else "infeasible"
+            return SimplexResult(np.zeros(n), np.inf, status, total_pivots)
         # drive leftover artificial variables out of the basis
         for r in range(m):
             if basis[r] >= ncols:
@@ -216,12 +185,11 @@ def _solve_scaled(
     for i in range(m_eff):
         if T[-1, basis[i]] != 0.0:
             T[-1] -= T[-1, basis[i]] * T[i]
-    status, piv = _run_phase(T, basis, ncols, pivot_cap - total_pivots, force_bland)
+    status, piv = _run_phase(T, basis, ncols)
     total_pivots += piv
 
     x = np.zeros(ncols)
     x[basis] = T[:-1, -1]
     x = np.maximum(x[:n], 0.0) / col_scale
-    objective = float(c @ x)
-    out_status = "optimal" if status == "optimal" else "iteration_cap"
-    return SimplexResult(x, objective, out_status, total_pivots)
+    objective = -np.inf if status == "unbounded" else float(c @ x)
+    return SimplexResult(x, objective, status, total_pivots)

@@ -34,26 +34,46 @@ def zero_table(scheme, depth):
     return MomentTable(n=scheme.n, c2=0.25, depth=depth, values=np.zeros((scheme.M, depth + 1)))
 
 
+def expected_grid_count(length, k, depth):
+    """Points per interval: spacing ~1/(8k), clamped to [32, 4096], at least 2D and 2."""
+    return max(min(max(math.ceil(8 * k * length), 32), 4096), 2 * depth, 2)
+
+
+def included_ranges(s):
+    """(m, lo, hi) of every enlarged interval meeting [0, 1], clipped to it."""
+    return [
+        (m, float(s.tilde_left[m - 1]), min(float(s.tilde_right[m - 1]), 1.0))
+        for m in range(1, s.M + 1)
+        if s.tilde_left[m - 1] < 1.0
+    ]
+
+
 class TestBuildLP:
     def test_variable_and_row_counts(self):
         s = build_scheme(10**3)
         depth = 2
         tab = zero_table(s, depth)
-        lp = build_lp(tab, s, 5, grid_density=16)
-        n_int = len(lp.m_included)
-        assert lp.n_weights == 16 * n_int
-        assert lp.c.size == lp.n_weights + (depth + 1) * n_int
-        assert lp.A.shape[0] == 2 * (depth + 1) * n_int + 2
+        # k = 5 leaves a count between the clamps (34 points on [0.163, 1]);
+        # k = 2000 reaches both the 4096 cap and an unclamped middle count
+        for k, counts in ((5, [32, 34, 32]), (2000, [4096, 4096, 1784])):
+            lp = build_lp(tab, s, k)
+            ranges = included_ranges(s)
+            assert lp.m_included == [m for m, _, _ in ranges]
+            assert [g.size for g in lp.grids] == counts
+            assert counts == [expected_grid_count(hi - lo, k, depth) for _, lo, hi in ranges]
+            n_int = len(lp.m_included)
+            assert lp.n_weights == sum(counts)
+            assert lp.c.size == lp.n_weights + (depth + 1) * n_int
+            assert lp.A.shape == (2 * (depth + 1) * n_int + 2, lp.c.size)
 
     def test_grid_uniform_spacing(self):
         s = build_scheme(10**3)
-        lp = build_lp(zero_table(s, 1), s, 5, grid_density=16)
-        for mi, m in enumerate(lp.m_included):
-            g = lp.grids[mi]
-            lo = float(s.tilde_left[m - 1])
-            hi = min(float(s.tilde_right[m - 1]), 1.0)
+        depth = 1
+        lp = build_lp(zero_table(s, depth), s, 5)
+        for g, (_, lo, hi) in zip(lp.grids, included_ranges(s), strict=True):
             assert g[0] == lo and g[-1] == hi
-            assert np.allclose(np.diff(g), (hi - lo) / 15.0)
+            assert g.size == expected_grid_count(hi - lo, 5, depth)
+            assert np.allclose(np.diff(g), (hi - lo) / (g.size - 1))
 
     def test_zero_targets_solved_by_zero(self):
         s = build_scheme(10**3)
