@@ -30,6 +30,7 @@ from .intervals import DEFAULT_C1, build_scheme
 from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
 from .pml import brute_force_pml
+from .poisson_approx import DEFAULT_APPROX_C1, DEFAULT_APPROX_C2
 
 
 def _read_histogram(path: str) -> Histogram:
@@ -168,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--n-list", default="1024,4096,16384")
     approx.add_argument("--eps", type=float, default=0.5)
     approx.add_argument("--delta", type=float, default=1.0)
-    approx.add_argument("--c1", type=float, default=4.0)
-    approx.add_argument("--c2", type=float, default=1.2)
+    approx.add_argument("--c1", type=float, default=DEFAULT_APPROX_C1)
+    approx.add_argument("--c2", type=float, default=DEFAULT_APPROX_C2)
     approx.add_argument("--out", required=True)
     approx.set_defaults(func=_cmd_approx)
 

@@ -460,6 +460,11 @@ def binomial_pmf(n: int, q: float, j) -> np.ndarray | float:
     return float(out[0]) if np.isscalar(j) else out.reshape(np.shape(j))
 
 
+def binom_half_logpmf(j, s):
+    """log of the Binomial(j, 1/2) pmf at s <= j, through log-gamma."""
+    return gammaln(j + 1.0) - gammaln(s + 1.0) - gammaln(j - s + 1.0) - j * math.log(2.0)
+
+
 def poisson_cdf(t, lam: float):
     """P(Poisson(lam) <= t) for integer t, exact via the regularized gamma tail."""
     tt = np.floor(np.asarray(t, dtype=float))

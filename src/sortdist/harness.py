@@ -64,8 +64,6 @@ class ExperimentConfig:
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
     sampling: str = "poissonized"
-    approx_c1: float = DEFAULT_APPROX_C1
-    approx_c2: float = DEFAULT_APPROX_C2
 
     def __post_init__(self):
         if self.trials < 1:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,13 +60,12 @@ class LPInstance:
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    secondary: np.ndarray          # next-moment cost minimized over the optimal face
     grids: list[np.ndarray]        # grid locations per included interval
     m_included: list[int]          # 1-based interval indices carrying weight vars
     n_weights: int
-    depth: int
     k: int
     objective_const: float         # tail-residual cost of intervals beyond the cover
-    scheme: IntervalScheme
     targets: MomentTable
 
 
@@ -76,7 +75,6 @@ class EstimateResult:
     objective_value: float
     solver_status: str
     targets: MomentTable
-    mu0_mass: float
 
     def to_json(self) -> str:
         payload = {
@@ -95,6 +93,11 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
     Weight variables live on a uniform grid per enlarged interval, restricted
     to the part inside [0, 1]; intervals entirely beyond 1 cannot carry mass,
     so only their (constant) cumulative-mass residuals enter the objective.
+
+    Interval m (the mi-th included one) owns rows 2(D+1)mi .. 2(D+1)(mi+1)-1:
+    a +/- pair per degree 1..D, then a pair for the cumulative mass over
+    m' >= m; the mass and mean rows come last.  Its slacks follow the weights
+    in the order cumulative, degree 1..D.
     """
     depth = targets.depth
     if targets.M != scheme.M:
@@ -113,93 +116,66 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
         raise DomainError("no interval intersects [0, 1]")
 
     n_w = sum(g.size for g in grids)
-    n_u = (depth + 1) * len(included)   # slack (m, d) for d = 1..depth plus the tail slack
-    n_vars = n_w + n_u
-
-    rows_A: list[np.ndarray] = []
-    rows_b: list[float] = []
-    cost = np.zeros(n_vars)
-
-    w_offsets = np.cumsum([0] + [g.size for g in grids])
-
-    def u_index(mi: int, d: int) -> int:
-        # d = 0 is the tail slack
-        return n_w + mi * (depth + 1) + d
+    n_res = (depth + 1) * len(included)   # one residual, and one slack, per (m, d)
+    A = np.zeros((2 * n_res + 2, n_w + n_res))
+    b = np.zeros(2 * n_res + 2)
+    c = np.zeros(n_w + n_res)
+    secondary = np.zeros(n_w + n_res)
+    pos, pos_b = A[0:2 * n_res:2], b[0:2 * n_res:2]
 
     cum_targets = np.concatenate([np.cumsum(targets.values[::-1, 0])[::-1], [0.0]])
-
-    for mi, m in enumerate(included):
+    power = depth + 1
+    start = 0
+    for mi, (m, xg) in enumerate(zip(included, grids)):
         i = m - 1
         tl = float(scheme.tilde_len[i])
-        xg = grids[mi]
+        offset = xg - scheme.centers[i]
+        cols = slice(start, start + xg.size)
+        r = mi * (depth + 1)
         for d in range(1, depth + 1):
-            coef = np.zeros(n_vars)
-            coef[w_offsets[mi]:w_offsets[mi + 1]] = k * (xg - scheme.centers[i]) ** d / tl**d
-            rhs = targets.value(m, d) / tl**d
-            cost[u_index(mi, d)] = tl
-            pos = coef.copy(); pos[u_index(mi, d)] = -1.0
-            neg = -coef;       neg[u_index(mi, d)] = -1.0
-            rows_A += [pos, neg]
-            rows_b += [rhs, -rhs]
-        # cumulative mass residual over m' >= m
-        coef = np.zeros(n_vars)
-        for mj in range(mi, len(included)):
-            coef[w_offsets[mj]:w_offsets[mj + 1]] = float(k)
-        rhs = float(cum_targets[i])
-        cost[u_index(mi, 0)] = tl
-        pos = coef.copy(); pos[u_index(mi, 0)] = -1.0
-        neg = -coef;       neg[u_index(mi, 0)] = -1.0
-        rows_A += [pos, neg]
-        rows_b += [rhs, -rhs]
+            pos[r + d - 1, cols] = k * offset**d / tl**d
+            pos_b[r + d - 1] = targets.value(m, d) / tl**d
+        pos[r + depth, start:n_w] = float(k)
+        pos_b[r + depth] = float(cum_targets[i])
+        c[n_w + r:n_w + r + depth + 1] = tl
+        secondary[cols] = tl * k * offset**power / tl**power
+        start += xg.size
+    np.negative(pos, out=A[1:2 * n_res:2])
+    np.negative(pos_b, out=b[1:2 * n_res:2])
+    # within an interval the residuals run degree 1..D then cumulative, the
+    # slacks cumulative then degree 1..D
+    res = np.arange(n_res)
+    slack = n_w + res - res % (depth + 1) + (res + 1) % (depth + 1)
+    A[2 * res, slack] = -1.0
+    A[2 * res + 1, slack] = -1.0
 
-    mass_row = np.zeros(n_vars)
-    mass_row[:n_w] = 1.0
-    rows_A.append(mass_row)
-    rows_b.append(1.0)
-    mean_row = np.zeros(n_vars)
-    mean_row[:n_w] = np.concatenate(grids)
-    rows_A.append(mean_row)
-    rows_b.append(1.0 / k)
+    A[2 * n_res, :n_w] = 1.0
+    b[2 * n_res] = 1.0
+    A[2 * n_res + 1, :n_w] = np.concatenate(grids)
+    b[2 * n_res + 1] = 1.0 / k
 
     const = 0.0
     for m in range(included[-1] + 1, scheme.M + 1):
         const += float(scheme.tilde_len[m - 1]) * abs(float(cum_targets[m - 1]))
 
     return LPInstance(
-        c=cost, A=np.asarray(rows_A), b=np.asarray(rows_b),
-        grids=grids, m_included=included, n_weights=n_w, depth=depth, k=k,
-        objective_const=const, scheme=scheme, targets=targets,
+        c=c, A=A, b=b, secondary=secondary, grids=grids, m_included=included,
+        n_weights=n_w, k=k, objective_const=const, targets=targets,
     )
-
-
-def _next_moment_cost(lp: LPInstance) -> np.ndarray:
-    """Per weight variable, tl_m * k * (x - c_m)^(D+1) / tl_m^(D+1), scaled
-    like the moment rows; zero on the slacks."""
-    power = lp.depth + 1
-    cost = np.zeros(lp.c.size)
-    start = 0
-    for m, xg in zip(lp.m_included, lp.grids):
-        tl = float(lp.scheme.tilde_len[m - 1])
-        offset = xg - lp.scheme.centers[m - 1]
-        cost[start:start + xg.size] = tl * lp.k * offset**power / tl**power
-        start += xg.size
-    return cost
 
 
 def solve_lp(lp: LPInstance) -> EstimateResult:
     """Solve to the optimal vertex of least next moment (the module docstring
     says which); returns the measure before zero-completion."""
-    res = simplex_solve(lp.c, lp.A, lp.b, secondary=_next_moment_cost(lp))
+    res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary)
     w = res.x[:lp.n_weights]
     locs = np.concatenate(lp.grids)
     keep = w > _WEIGHT_EPS
-    mu0 = AtomicMeasure(locs[keep], w[keep])
     return EstimateResult(
-        measure=mu0,
+        measure=AtomicMeasure(locs[keep], w[keep]),
         objective_value=res.objective + lp.objective_const,
         solver_status=res.status,
         targets=lp.targets,
-        mu0_mass=mu0.total_mass,
     )
 
 
@@ -282,21 +258,15 @@ def estimate_sorted_distribution(
     The scheme's n is the nominal sampling rate; pass it explicitly when the
     histogram total is Poissonized.
     """
+    if k < 1:
+        raise DomainError("k must be at least 1")
     if scheme is None:
         if h.n < 16:
             raise DomainError("n must be at least 16")
         scheme = build_scheme(h.n, c1, "estimator")
     depth = degree_for(scheme.n, c2)
-    targets = moment_table_estimate(h, scheme, depth, c2=c2, clamped=True)
-    lp = build_lp(targets, scheme, k)
-    partial = solve_lp(lp)
+    targets = moment_table_estimate(h, scheme, depth, clamped=True)
+    partial = solve_lp(build_lp(targets, scheme, k))
     mu0 = partial.measure
     leftover = max(0.0, 1.0 - mu0.total_mass)
-    mu = (mu0 + AtomicMeasure.dirac(0.0, leftover)).pruned(0.0)
-    return EstimateResult(
-        measure=mu,
-        objective_value=partial.objective_value,
-        solver_status=partial.solver_status,
-        targets=targets,
-        mu0_mass=mu0.total_mass,
-    )
+    return replace(partial, measure=(mu0 + AtomicMeasure.dirac(0.0, leftover)).pruned(0.0))

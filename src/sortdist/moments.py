@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import Histogram, DiscreteDistribution, poisson_interval_prob
+from .core import Histogram, DiscreteDistribution, binom_half_logpmf, poisson_interval_prob
 from .errors import DomainError
 from .intervals import IntervalScheme
 
@@ -93,14 +92,15 @@ def g_tilde_eval(d: int, m: int, x, scheme: IntervalScheme):
 class MomentTable:
     """Values indexed by (interval m in 1..M, degree d in 0..D)."""
 
-    n: int
-    c2: float
-    depth: int
     values: np.ndarray  # shape (M, D+1)
 
     @property
     def M(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def depth(self) -> int:
+        return self.values.shape[1] - 1
 
     def value(self, m: int, d: int) -> float:
         return float(self.values[m - 1, d])
@@ -132,11 +132,6 @@ def effective_support(p: DiscreteDistribution, m: int, scheme: IntervalScheme) -
     return float(np.sum(_half_sample_interval_prob(p.masses, scheme, m)))
 
 
-def _binom_half_row(v: int, s: np.ndarray) -> np.ndarray:
-    """Binomial(v, 1/2) pmf on the integer vector s (s <= v assumed)."""
-    return np.exp(gammaln(v + 1.0) - gammaln(s + 1.0) - gammaln(v - s + 1.0) - v * math.log(2.0))
-
-
 def _distinct_counts(h: Histogram):
     values, counts = np.unique(h.counts[h.counts > 0], return_counts=True)
     return values.astype(np.int64), counts.astype(np.int64)
@@ -165,7 +160,6 @@ def moment_table_estimate(
     h: Histogram,
     scheme: IntervalScheme,
     depth: int,
-    c2: float = DEFAULT_C2,
     clamped: bool = True,
     only_m: int | None = None,
 ) -> MomentTable:
@@ -190,21 +184,20 @@ def moment_table_estimate(
             if hi_v < lo_v:
                 continue
             s = np.arange(lo_v, hi_v + 1)
-            pmf = _binom_half_row(v, s)
+            pmf = np.exp(binom_half_logpmf(v, s))
             z = (v - s) / (n / 2.0)
             i = m - 1
             if clamped:
                 z = np.clip(z, scheme.cut_left[i], scheme.cut_right[i])
             fam = g_family(depth, float(scheme.centers[i]), z, n)
             values[m - 1] += cnt * (fam @ pmf)
-    return MomentTable(n=n, c2=c2, depth=depth, values=values)
+    return MomentTable(values)
 
 
 def moment_table_true(
     p: DiscreteDistribution,
     scheme: IntervalScheme,
     depth: int,
-    c2: float = DEFAULT_C2,
 ) -> MomentTable:
     """Exact smoothed moments of a known distribution, same layout."""
     M = scheme.M
@@ -214,4 +207,4 @@ def moment_table_true(
         diff = p.masses - scheme.centers[m - 1]
         for d in range(depth + 1):
             values[m - 1, d] = float(np.sum(diff**d * prob))
-    return MomentTable(n=scheme.n, c2=c2, depth=depth, values=values)
+    return MomentTable(values)

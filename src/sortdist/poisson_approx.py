@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import poisson_pmf
+from .core import binom_half_logpmf, poisson_pmf
 from .errors import DomainError, RateMismatchError
 from .intervals import IntervalScheme, build_scheme
 from .moments import charlier_family
@@ -178,25 +177,28 @@ def monomial_to_poisson(P: LocalPolynomial, rate: float, j_lo: int, j_hi: int) -
     return (P.coeffs * scale) @ fam
 
 
+def _outer_count_range(scheme: IntervalScheme, m: int, rate: float) -> tuple[int, int]:
+    """Counts j with j / rate in the m-th outer truncation interval, inclusive."""
+    i = scheme.index(m)
+    return (
+        int(math.ceil(scheme.cut_left[i] * rate - 1e-9)),
+        int(math.floor(scheme.cut_right[i] * rate + 1e-9)),
+    )
+
+
 def truncate_local(
     b_star: np.ndarray, m: int, scheme: IntervalScheme, rate: float, j_lo: int = 0
 ) -> LocalBlock:
     """Zero all coefficients outside the outer interval's count range."""
     if scheme.variant != "approximation":
         raise DomainError("truncation needs the approximation-variant scheme")
-    i = scheme.index(m)
-    lo = int(math.ceil(scheme.cut_left[i] * rate - 1e-9))
-    hi = int(math.floor(scheme.cut_right[i] * rate + 1e-9))
+    lo, hi = _outer_count_range(scheme, m, rate)
     first = max(lo, j_lo)
     last = min(hi, j_lo + b_star.size - 1)
     if last < first:
         return LocalBlock(m=m, rate=rate, offset=0, values=np.zeros(0))
     vals = b_star[first - j_lo : last - j_lo + 1].copy()
     return LocalBlock(m=m, rate=rate, offset=first, values=vals)
-
-
-def _log_binom_half(j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return gammaln(j + 1.0) - gammaln(k + 1.0) - gammaln(j - k + 1.0) - j * math.log(2.0)
 
 
 def glue(
@@ -238,7 +240,7 @@ def glue(
                 continue
             l = blk.offset + li
             js = ks + l
-            out[js.astype(int)] += b_l * np.exp(_log_binom_half(js, ks))
+            out[js.astype(int)] += b_l * np.exp(binom_half_logpmf(js, ks))
     return out
 
 
@@ -323,8 +325,7 @@ def build_poisson_approximation(
         i = m - 1
         lo, hi = float(scheme.tilde_left[i]), float(scheme.tilde_right[i])
         P = jackson_approx(g, lo, hi, degree, center=float(scheme.centers[i]), m=m)
-        j_lo = int(math.ceil(scheme.cut_left[i] * rate - 1e-9))
-        j_hi = int(math.floor(scheme.cut_right[i] * rate + 1e-9))
+        j_lo, j_hi = _outer_count_range(scheme, m, rate)
         b_star = monomial_to_poisson(P, rate, j_lo, j_hi)
         blocks.append(truncate_local(b_star, m, scheme, rate, j_lo))
 

@@ -235,6 +235,16 @@ class TestCLIDeterminism:
         assert run_cli(base + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "counts, k_flag", [("40\n9\n0\n3\n", ["--k", "-2"]), ("", [])], ids=["k=-2", "k=0"]
+    )
+    def test_estimate_rejects_k_below_one(self, tmp_path, counts, k_flag):
+        # an empty histogram file leaves the default k at 0 lines
+        hist = tmp_path / "h.txt"
+        hist.write_text(counts)
+        with pytest.raises(DomainError):
+            run_cli(["estimate", str(hist), "--n", "64", "--c1", "2", *k_flag, "--out", str(tmp_path / "e.json")])
+
     def test_pml_profile_forms(self, tmp_path):
         out1 = tmp_path / "p1.json"
         out2 = tmp_path / "p2.json"

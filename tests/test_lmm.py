@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sortdist.core import AtomicMeasure, DiscreteDistribution, Histogram, measure_of
-from sortdist.errors import SupportViolationError
+from sortdist.errors import DomainError, SupportViolationError
 from sortdist.intervals import build_scheme, locate
 from sortdist.lmm import (
     build_lp,
@@ -27,11 +27,11 @@ def table_from_atom(scheme, depth, x_star, m=None, mass_scaled=1.0):
     i = (locate(scheme, x_star) if m is None else m) - 1
     for d in range(depth + 1):
         values[i, d] = mass_scaled * (x_star - scheme.centers[i]) ** d
-    return MomentTable(n=scheme.n, c2=0.25, depth=depth, values=values)
+    return MomentTable(values)
 
 
 def zero_table(scheme, depth):
-    return MomentTable(n=scheme.n, c2=0.25, depth=depth, values=np.zeros((scheme.M, depth + 1)))
+    return MomentTable(np.zeros((scheme.M, depth + 1)))
 
 
 def expected_grid_count(length, k, depth):
@@ -75,6 +75,49 @@ class TestBuildLP:
             assert g.size == expected_grid_count(hi - lo, 5, depth)
             assert np.allclose(np.diff(g), (hi - lo) / (g.size - 1))
 
+    def test_rows_match_their_definition(self):
+        # every slack sits in exactly two rows, which read +-(residual) - slack
+        # at any weights w; the residual of degree d = 1..D in interval m is
+        # k * sum w (x - c_m)^d / tl_m^d - t(m, d) / tl_m^d, the cumulative one
+        # k * (weight on intervals m' >= m) - sum_{m' >= m} t(m', 0)
+        s = build_scheme(10**3)
+        k, depth = 7, 2
+        rng = np.random.default_rng(11)
+        tab = MomentTable(rng.normal(size=(s.M, depth + 1)))
+        lp = build_lp(tab, s, k)
+        n_w = lp.n_weights
+        w = rng.random(n_w)
+        parts = np.split(w, np.cumsum([g.size for g in lp.grids])[:-1])
+        residual, slack_cost, secondary = {}, {}, []
+        for mi, (m, g, wm) in enumerate(zip(lp.m_included, lp.grids, parts)):
+            tl, c_m = float(s.tilde_len[m - 1]), float(s.centers[m - 1])
+            for d in range(1, depth + 1):
+                residual[m, d] = (k * np.sum(wm * (g - c_m) ** d) - tab.value(m, d)) / tl**d
+            residual[m, 0] = k * sum(p.sum() for p in parts[mi:]) - tab.values[m - 1:, 0].sum()
+            slack_cost.update({(m, d): tl for d in range(depth + 1)})
+            secondary.append(tl * k * (g - c_m) ** (depth + 1) / tl ** (depth + 1))
+
+        slacks = lp.A[:, n_w:]
+        matched = []
+        for j in range(slacks.shape[1]):
+            rows = np.flatnonzero(slacks[:, j])
+            assert slacks[rows, j].tolist() == [-1.0, -1.0]
+            assert np.count_nonzero(slacks[rows]) == 2
+            pos, neg = lp.A[rows, :n_w] @ w - lp.b[rows]
+            assert neg == pytest.approx(-pos, rel=1e-12)
+            key = min(residual, key=lambda key: abs(abs(residual[key]) - abs(pos)))
+            assert abs(pos) == pytest.approx(abs(residual[key]), rel=1e-10)
+            assert lp.c[n_w + j] == slack_cost[key]
+            matched.append(key)
+        assert sorted(matched) == sorted(residual)
+
+        mass, mean = np.flatnonzero(~slacks.any(axis=1))
+        assert np.all(lp.A[mass, :n_w] == 1.0) and lp.b[mass] == 1.0
+        assert np.array_equal(lp.A[mean, :n_w], np.concatenate(lp.grids)) and lp.b[mean] == 1.0 / k
+        assert np.all(lp.c[:n_w] == 0.0)
+        assert lp.secondary[:n_w] == pytest.approx(np.concatenate(secondary), rel=1e-12)
+        assert np.all(lp.secondary[n_w:] == 0.0)
+
     def test_zero_targets_solved_by_zero(self):
         s = build_scheme(10**3)
         lp = build_lp(zero_table(s, 2), s, 5)
@@ -89,7 +132,7 @@ class TestBuildLP:
         rng = np.random.default_rng(0)
         for _ in range(10):
             values = rng.normal(size=(s.M, 3)) * rng.choice([0.0, 1.0], size=(s.M, 3))
-            tab = MomentTable(n=s.n, c2=0.25, depth=2, values=values)
+            tab = MomentTable(values)
             res = solve_lp(build_lp(tab, s, 7))
             assert res.solver_status == "optimal"
             assert res.objective_value >= -1e-12
@@ -128,7 +171,7 @@ class TestSurrogateLoss:
                 values[m - 1, d] = k * float(
                     np.sum((mu_m.locations - s.centers[m - 1]) ** d * mu_m.weights)
                 )
-        tab = MomentTable(n=s.n, c2=0.25, depth=depth, values=values)
+        tab = MomentTable(values)
         assert surrogate_loss(cand, tab, s, k) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_zero(self):
@@ -145,7 +188,7 @@ class TestSurrogateLoss:
         eps = 3e-4
         vals = tab.values.copy()
         vals[m - 1, 1] += eps
-        tab2 = MomentTable(n=s.n, c2=0.25, depth=depth, values=vals)
+        tab2 = MomentTable(vals)
         assert surrogate_loss(cand, tab2, s, k) == pytest.approx(eps, rel=1e-9)
 
     def test_triangle_in_targets(self):
@@ -158,11 +201,11 @@ class TestSurrogateLoss:
         for _ in range(20):
             va = rng.normal(size=(s.M, depth + 1)) * 0.1
             vb = rng.normal(size=(s.M, depth + 1)) * 0.1
-            ta = MomentTable(n=s.n, c2=0.25, depth=depth, values=va)
-            tb = MomentTable(n=s.n, c2=0.25, depth=depth, values=vb)
+            ta = MomentTable(va)
+            tb = MomentTable(vb)
             la, lb = surrogate_loss(cand, ta, s, k), surrogate_loss(cand, tb, s, k)
             # distance between tables in the same weighted norm
-            tdiff = MomentTable(n=s.n, c2=0.25, depth=depth, values=va - vb)
+            tdiff = MomentTable(va - vb)
             ld = surrogate_loss([None] * s.M, tdiff, s, k)
             assert abs(la - lb) <= ld + 1e-12
 
@@ -252,6 +295,11 @@ class TestEstimator:
                     s.tilde_left[i] - 1e-12 <= x <= s.tilde_right[i] + 1e-12 for i in range(s.M)
                 )
                 assert ok
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(DomainError):
+            estimate_sorted_distribution(Histogram([40, 17, 0, 1]), k, build_scheme(1024))
 
     def test_zero_histogram_returns_point_mass_at_zero(self):
         s = build_scheme(1024)

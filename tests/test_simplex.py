@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from sortdist import simplex
 from sortdist.harness import make_distribution
 from sortdist.intervals import DEFAULT_C1, build_scheme
-from sortdist.lmm import _next_moment_cost, build_lp
+from sortdist.lmm import build_lp
 from sortdist.moments import DEFAULT_C2, degree_for, moment_table_estimate
 from sortdist.sampling import sample_poissonized, substream
 from sortdist.simplex import simplex_solve
@@ -91,9 +91,9 @@ def test_estimator_lp_secondary_matches_highs_lexicographic():
     scheme = build_scheme(n, DEFAULT_C1, "estimator")
     depth = degree_for(scheme.n, DEFAULT_C2)
     h = sample_poissonized(make_distribution("uniform", k), n, substream(77, 25))
-    targets = moment_table_estimate(h, scheme, depth, c2=DEFAULT_C2, clamped=True)
+    targets = moment_table_estimate(h, scheme, depth, clamped=True)
     lp = build_lp(targets, scheme, k)
-    secondary = _next_moment_cost(lp)
+    secondary = lp.secondary
     plain = simplex_solve(lp.c, lp.A, lp.b)
     res = simplex_solve(lp.c, lp.A, lp.b, secondary=secondary)
     assert res.status == "optimal"
@@ -172,7 +172,7 @@ def test_estimator_lp_vertex_is_pinned(family):
     scheme = build_scheme(n, DEFAULT_C1, "estimator")
     depth = degree_for(scheme.n, DEFAULT_C2)
     h = sample_poissonized(make_distribution(family, k), n, substream(7, 0))
-    targets = moment_table_estimate(h, scheme, depth, c2=DEFAULT_C2, clamped=True)
+    targets = moment_table_estimate(h, scheme, depth, clamped=True)
     lp = build_lp(targets, scheme, k)
     res = simplex_solve(lp.c, lp.A, lp.b)
     assert res.status == "optimal"
