@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Histogram, Profile, profile_of_histogram
+from .errors import DegenerateSchemeError, DomainError, ResourceLimitError
 from .harness import (
     ExperimentConfig,
     coefficients_to_csv,
@@ -186,8 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a rejected input exits with status 2 through the usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (DomainError, DegenerateSchemeError, ResourceLimitError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

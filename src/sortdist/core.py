@@ -340,10 +340,7 @@ def profile_probability_many(p_rows: np.ndarray, phi: Profile) -> np.ndarray:
 
 def sorted_l1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """l1 distance between ascending-sorted mass vectors, zero-padded to a common k."""
-    k = max(p.k, q.k)
-    a = np.sort(p.padded(k).masses)
-    b = np.sort(q.padded(k).masses)
-    return float(np.abs(a - b).sum())
+    return sorted_l1_vectors(p.masses, q.masses)
 
 
 def sorted_l1_vectors(a, b) -> float:

@@ -92,6 +92,8 @@ class TrialRecord:
 
 def make_distribution(dist: str, k: int) -> DiscreteDistribution:
     """Named source families for experiments."""
+    if k < 1:
+        raise DomainError("k must be at least 1")
     if dist == "uniform":
         return DiscreteDistribution(np.full(k, 1.0 / k))
     if dist.startswith("zipf"):
@@ -245,7 +247,7 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
         pml, like = brute_force_pml(phi, k_max=min(k, 5))
         rounded = min_prob_round(pml, phi)
         eps_prime = max(eps_prime, sorted_l1(pml, rounded))
-        d = sorted_l1(pml.padded(max(k, pml.k)), p.padded(max(k, pml.k)))
+        d = sorted_l1(pml, p)
         prepared.append((phi, prob, pml, like, rounded, d))
 
     direct_failure = 0.0

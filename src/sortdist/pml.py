@@ -106,9 +106,8 @@ def chi_m_poisson(lam1: float, lam2: float, m: int) -> tuple[float, float]:
         raise DomainError("rates must be >= 0")
     if lam2 == 0.0:
         return (1.0, 1.0) if lam1 == 0.0 else (math.inf, math.inf)
-    ratio = lam1 / lam2
-    exponent = lam2 * (ratio**m - m * (ratio - 1.0) - 1.0)
-    delta = abs(ratio - 1.0)
+    exponent = chi_m_log(lam1, lam2, m)
+    delta = abs(lam1 / lam2 - 1.0)
     bound = math.exp(min(lam2 * m * m * delta * delta, 700.0)) if delta < 1.0 / m else math.inf
     value = math.exp(exponent) if exponent < 700.0 else math.inf
     return value, bound

@@ -20,7 +20,7 @@ import numpy as np
 from .core import binom_half_logpmf, poisson_pmf
 from .errors import DomainError, RateMismatchError
 from .intervals import IntervalScheme, build_scheme
-from .moments import charlier_family
+from .moments import D_MAX, charlier_family
 
 __all__ = [
     "LocalPolynomial",
@@ -42,7 +42,6 @@ __all__ = [
 
 DEFAULT_APPROX_C1 = 4.0
 DEFAULT_APPROX_C2 = 1.2
-DEGREE_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,8 @@ def jackson_approx(
 
     Coefficients are returned in the shifted basis (x - center)^d.
     """
-    if degree > DEGREE_CAP:
-        raise DomainError(f"degree capped at {DEGREE_CAP}")
+    if degree > D_MAX:
+        raise DomainError(f"degree capped at {D_MAX}")
     if hi <= lo:
         raise DomainError("empty interval")
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -169,8 +168,8 @@ def monomial_to_poisson(P: LocalPolynomial, rate: float, j_lo: int, j_hi: int) -
     unbiased lifts of monomials; evaluated through the same stable
     three-term recurrence as the moment kernels.
     """
-    if P.degree > DEGREE_CAP:
-        raise DomainError(f"degree capped at {DEGREE_CAP}")
+    if P.degree > D_MAX:
+        raise DomainError(f"degree capped at {D_MAX}")
     j = np.arange(j_lo, j_hi + 1, dtype=float)
     fam = charlier_family(j, rate * P.center, P.degree)
     scale = (1.0 / rate) ** np.arange(P.degree + 1)
@@ -258,10 +257,6 @@ def evaluate(poly: PoissonPolynomial, x: float) -> float:
     return float(poly.coeffs[lo : hi + 1] @ poisson_pmf(lam, j))
 
 
-def evaluate_many(poly: PoissonPolynomial, xs: np.ndarray) -> np.ndarray:
-    return np.asarray([evaluate(poly, float(x)) for x in xs])
-
-
 def evaluate_blocked(poly: PoissonPolynomial, x: float) -> float:
     """Identity route: half-rate interval weights times local block values."""
     if not poly.blocks or poly.scheme is None:
@@ -344,7 +339,6 @@ def verify_bounds(
     poly: PoissonPolynomial,
     f: Callable[[float], float],
     eps: float = 0.5,
-    x_grid: np.ndarray | None = None,
 ) -> ApproxReport:
     """Measured statistics behind the approximation guarantees.
 
@@ -353,17 +347,11 @@ def verify_bounds(
     and whether the support cut at (1 + delta) n holds exactly.
     """
     n = poly.n
-    if x_grid is None:
-        x_grid = np.unique(
-            np.concatenate(
-                [
-                    np.linspace(0.0, 1.0, 513),
-                    np.geomspace(1.0 / (4 * n), 0.05, 160),
-                ]
-            )
-        )
+    x_grid = np.unique(
+        np.concatenate([np.linspace(0.0, 1.0, 513), np.geomspace(1.0 / (4 * n), 0.05, 160)])
+    )
     f_vals = np.asarray([f(float(x)) for x in x_grid])
-    F_vals = evaluate_many(poly, x_grid)
+    F_vals = np.asarray([evaluate(poly, float(x)) for x in x_grid])
     weights = np.sqrt(np.maximum(x_grid, 1.0 / n) / (n * math.log(n)))
     sup_err = float(np.abs(f_vals - F_vals).max())
     sup_weighted = float((np.abs(f_vals - F_vals) / weights).max())

@@ -1,9 +1,10 @@
 """Deterministic sampling on counter-based substreams.
 
 Every trial gets its own jumped Philox substream, so parallel trials never
-share state and reruns are bit-identical.  Poisson draws use CDF inversion
-below rate 30 and transformed rejection above; both consume uniforms from
-the substream in a fixed order.
+share state and reruns are bit-identical.  A Poisson count below rate 30 is
+the quantile of one uniform under the package's exact Poisson CDF
+(`core.poisson_interval_prob`); above it, transformed rejection draws
+uniforms from the substream in symbol order.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import math
 
 import numpy as np
 
-from .core import AtomicMeasure, DiscreteDistribution, Histogram, poisson_pmf
+from .core import AtomicMeasure, DiscreteDistribution, Histogram, poisson_interval_prob
 from .errors import DomainError
 
 __all__ = [
     "substream",
-    "poisson_draw",
     "sample_iid",
     "sample_poissonized",
     "empirical_measure",
@@ -34,9 +34,20 @@ def substream(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _poisson_inversion_table(lam: float) -> np.ndarray:
-    hi = int(lam + 40.0 * math.sqrt(lam + 1.0) + 30.0)
-    return np.cumsum(poisson_pmf(lam, np.arange(hi + 1)))
+def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Smallest j with P(Poisson(lam) <= j) >= u, elementwise.
+
+    Walks j = 0, 1, 2, ... over the entries still short of u.  The walk ends
+    for every u < 1, since the CDF rounds to 1.0 a finite way into the tail.
+    """
+    counts = np.zeros(u.shape, dtype=np.int64)
+    short = np.arange(u.size)
+    j = 0
+    while short.size:
+        short = short[poisson_interval_prob(lam[short], 0, j) < u[short]]
+        j += 1
+        counts[short] = j
+    return counts
 
 
 def _poisson_ptrs(gen: np.random.Generator, lam: float) -> int:
@@ -60,31 +71,18 @@ def _poisson_ptrs(gen: np.random.Generator, lam: float) -> int:
             return k
 
 
-def poisson_draw(gen: np.random.Generator, lam: float) -> int:
-    if lam < 0:
-        raise DomainError("rate must be >= 0")
-    if lam == 0.0:
-        return 0
-    if lam < _PTRS_SWITCH:
-        table = _poisson_inversion_table(lam)
-        return int(np.searchsorted(table, gen.random(), side="right"))
-    return _poisson_ptrs(gen, lam)
-
-
 def sample_poissonized(p: DiscreteDistribution, n: int, gen: np.random.Generator) -> Histogram:
     """Independent Poisson(n p_j) counts per symbol.
 
-    Small rates share one block of uniforms inverted against per-rate CDF
-    tables; large rates consume the stream afterwards in symbol order.
+    One block of k uniforms is drawn first; each symbol below rate 30 takes
+    the quantile of its uniform under the exact Poisson CDF.  Larger rates
+    then consume the stream in symbol order by transformed rejection.
     """
     lam = n * p.masses
     counts = np.zeros(p.k, dtype=np.int64)
     u = gen.random(p.k)
-    small = (lam > 0) & (lam < _PTRS_SWITCH)
-    for rate in np.unique(lam[small]):
-        sel = lam == rate
-        table = _poisson_inversion_table(float(rate))
-        counts[sel] = np.searchsorted(table, u[sel], side="right")
+    small = lam < _PTRS_SWITCH
+    counts[small] = _poisson_quantile(u[small], lam[small])
     for j in np.nonzero(lam >= _PTRS_SWITCH)[0]:
         counts[j] = _poisson_ptrs(gen, float(lam[j]))
     return Histogram(counts)

@@ -1,10 +1,14 @@
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sortdist
 from sortdist.core import (
     AtomicMeasure,
     DiscreteDistribution,
@@ -278,3 +282,11 @@ class TestPoissonTail:
     def test_delta_positive_required(self):
         with pytest.raises(DomainError):
             poisson_tail(1.0, 0.0)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes about 0.65 s to import, which every CLI run and benchmark set-up would pay
+    src = str(Path(sortdist.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import sortdist; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

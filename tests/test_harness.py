@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sortdist.cli import main as cli_main
-from sortdist.core import DiscreteDistribution, Histogram, poisson_pmf
+from sortdist.core import DiscreteDistribution, Histogram, poisson_interval_prob, poisson_pmf
 from sortdist.errors import DomainError, ResourceLimitError
 from sortdist.harness import (
     ExperimentConfig,
@@ -19,8 +19,9 @@ from sortdist.harness import (
     wilson_interval,
 )
 from sortdist.sampling import (
+    _poisson_ptrs,
+    _poisson_quantile,
     empirical_measure,
-    poisson_draw,
     sample_iid,
     sample_poissonized,
     substream,
@@ -47,12 +48,46 @@ class TestSampling:
             assert h.counts[2] == 0
 
     def test_poisson_draw_moments_both_branches(self):
+        k = 20000
+        p = make_distribution("uniform", k)
         for lam in (3.0, 80.0):
-            gen = substream(11, 0)
-            draws = np.asarray([poisson_draw(gen, lam) for _ in range(20000)])
+            draws = sample_poissonized(p, round(lam * k), substream(11, 0)).counts
             se = math.sqrt(lam / draws.size)
             assert draws.mean() == pytest.approx(lam, abs=5 * se)
             assert draws.var() == pytest.approx(lam, rel=0.08)
+
+    @pytest.mark.parametrize("family", ["uniform", "two-level", "zipf:1"])
+    def test_poissonized_equals_table_inversion(self, family):
+        # reference: one cumulative-pmf table per distinct small rate
+        def reference(p, n, gen):
+            lam, u, counts = n * p.masses, gen.random(p.k), np.zeros(p.k, dtype=np.int64)
+            for rate in np.unique(lam[(lam > 0) & (lam < 30)]):
+                table = np.cumsum(poisson_pmf(rate, np.arange(int(rate + 40 * math.sqrt(rate + 1) + 30) + 1)))
+                counts[lam == rate] = np.searchsorted(table, u[lam == rate], side="right")
+            for j in np.nonzero(lam >= 30)[0]:
+                counts[j] = _poisson_ptrs(gen, float(lam[j]))
+            return counts
+
+        p = make_distribution(family, 5000)
+        for t in range(3):
+            got = sample_poissonized(p, 10**4, substream(101, t)).counts
+            assert got.tolist() == reference(p, 10**4, substream(101, t)).tolist()
+
+    def test_poisson_quantile_brackets_u(self):
+        def cdf(j, lam):  # 0.0 at j = -1
+            return np.asarray([poisson_interval_prob(l, 0, int(i)) for i, l in zip(j, lam)])
+
+        gen = np.random.default_rng(3)
+        lam = gen.uniform(0.0, 30.0, 400)
+        ties = cdf(gen.integers(0, 40, 400), lam)
+        lam, ties = lam[ties < 1.0], ties[ties < 1.0]  # gen.random() never returns 1
+        u = np.concatenate([gen.random(400), ties, np.nextafter(ties, 0.0), [0.0, 1 - 2.0**-53]])
+        lam = np.concatenate([gen.uniform(0.0, 30.0, 400), lam, lam, [2.0, 2.0]])
+        got = _poisson_quantile(u, lam)
+        assert np.all(cdf(got, lam) >= u)
+        assert np.all((cdf(got - 1, lam) < u) | (got == 0))
+        top = np.full(2, 1 - 2.0**-53)
+        assert _poisson_quantile(top, np.array([2.0, 29.999])).tolist() == [22, 85]
 
     def test_poissonized_mean_matches_rate(self):
         p = make_distribution("uniform", 50)
@@ -119,6 +154,12 @@ class TestFamilies:
     def test_unknown(self):
         with pytest.raises(DomainError):
             make_distribution("cauchy", 3)
+
+    @pytest.mark.parametrize("family", ["uniform", "zipf:1", "two-level", "point-mass"])
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_k_below_one(self, family, k):
+        with pytest.raises(DomainError, match="k must be at least 1"):
+            make_distribution(family, k)
 
 
 class TestBenchmark:
@@ -236,14 +277,23 @@ class TestCLIDeterminism:
         assert f1.read_bytes() == f2.read_bytes()
 
     @pytest.mark.parametrize(
-        "counts, k_flag", [("40\n9\n0\n3\n", ["--k", "-2"]), ("", [])], ids=["k=-2", "k=0"]
+        "counts, args",
+        [
+            ("40\n9\n0\n3\n", ["estimate", "h.txt", "--n", "64", "--c1", "2", "--k", "-2"]),
+            ("", ["estimate", "h.txt", "--n", "64", "--c1", "2"]),
+            ("", ["benchmark", "--n", "1024", "--k", "0", "--trials", "1"]),
+        ],
+        ids=["k=-2", "k=0", "benchmark-k=0"],
     )
-    def test_estimate_rejects_k_below_one(self, tmp_path, counts, k_flag):
+    def test_estimate_rejects_k_below_one(self, tmp_path, monkeypatch, capsys, counts, args):
         # an empty histogram file leaves the default k at 0 lines
-        hist = tmp_path / "h.txt"
-        hist.write_text(counts)
-        with pytest.raises(DomainError):
-            run_cli(["estimate", str(hist), "--n", "64", "--c1", "2", *k_flag, "--out", str(tmp_path / "e.json")])
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.txt").write_text(counts)
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--out", "out"])
+        assert exc.value.code == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_pml_profile_forms(self, tmp_path):
         out1 = tmp_path / "p1.json"
