@@ -37,14 +37,24 @@ def substream(seed: int, trial: int = 0) -> np.random.Generator:
 def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Smallest j with P(Poisson(lam) <= j) >= u, elementwise.
 
-    Walks j = 0, 1, 2, ... over the entries still short of u.  The walk ends
-    for every u < 1, since the CDF rounds to 1.0 a finite way into the tail.
+    Walks j = 0, 1, 2, ... over the entries still short of u, evaluating the
+    CDF once per distinct rate that some of them still need: a rate stays
+    live until its CDF reaches the largest u among its entries.  The walk
+    ends for every u < 1, since the CDF rounds to 1.0 a finite way into the
+    tail.
     """
+    rates, which = np.unique(lam, return_inverse=True)
+    top = np.zeros(rates.size)
+    np.maximum.at(top, which, u)
     counts = np.zeros(u.shape, dtype=np.int64)
     short = np.arange(u.size)
+    live = np.arange(rates.size)
+    cdf = np.zeros(rates.size)
     j = 0
     while short.size:
-        short = short[poisson_interval_prob(lam[short], 0, j) < u[short]]
+        cdf[live] = poisson_interval_prob(rates[live], 0, j)
+        live = live[cdf[live] < top[live]]
+        short = short[cdf[which[short]] < u[short]]
         j += 1
         counts[short] = j
     return counts

@@ -13,11 +13,26 @@ keeps only the columns whose reduced cost is at most the optimality
 tolerance (the others must stay at zero on the face), installs the
 secondary cost reduced against the basis, and runs the same pivoting path;
 the primary objective does not move.
+
+Every optimal solve without a secondary cost also returns the row duals y
+(`SimplexResult.duals`) in the caller's units: y <= 0, c - A^T y >= 0 on
+the columns up to the optimality tolerance, and b.y is the objective.  They
+are read from the final tableau's slack columns, whose reduced costs are
+-y times the row scale; a row dropped as redundant after phase 1 has price 0.
+
+Given a pricing oracle, the LP is solved by column generation
+(Gilmore-Gomory): each restricted master, holding a subset of the columns
+of A, is solved cold by `simplex_solve` itself, and the oracle turns the
+master's duals into candidate columns.  A candidate joins when its reduced
+cost, scaled like the master's tableau, is below -_TOL; a stage ends when a
+round adds none.  A secondary cost gets a second loop on the master with the
+row c.x <= opt appended, so the full A is never put in a tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections.abc import Callable
 
 import numpy as np
 
@@ -39,6 +54,13 @@ class SimplexResult:
     # violates the original constraints, i.e. tableau drift corrupted it
     status: str
     pivots: int
+    # row duals in the caller's units; None unless optimal without a
+    # secondary cost
+    duals: np.ndarray | None = None
+    # master solves per column-generation stage; () for a direct solve
+    rounds: tuple[int, ...] = ()
+    # columns in the final tableau: the last master's under column generation
+    columns: int = 0
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -117,23 +139,106 @@ def _run_phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
 
 
 def simplex_solve(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, secondary: np.ndarray | None = None
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    secondary: np.ndarray | None = None,
+    start: np.ndarray | None = None,
+    price: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> SimplexResult:
     """Solve, then verify an optimal vertex against the original constraints;
     one that violates them is reported with status "degenerate".
 
     With `secondary`, the returned vertex minimizes secondary.x over the
     optimal face of min c.x; the pivots of both stages are counted.
+
+    With `price`, solve by column generation from the columns `start`.
+    `price(y, cost)` gets a master's row duals and the cost it minimized,
+    with the duals of any appended row folded into that cost, and returns
+    candidate columns; `pivots` sums over the masters.  The first master
+    that is not optimal ends the solve with its status.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if price is not None:
+        return _column_generation(c, A, b, secondary, np.asarray(start), price)
     res = _solve_scaled(c, A, b, secondary)
     if res.status == "optimal":
         violation = float((A @ res.x - b).max(initial=0.0))
         if violation > 1e-6 * (1.0 + np.abs(b).max(initial=0.0)):
             res.status = "degenerate"
+            res.duals = None
     return res
+
+
+def _column_generation(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    secondary: np.ndarray | None,
+    start: np.ndarray,
+    price: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> SimplexResult:
+    first, cols, rounds, pivots = _generate(c, A, b, np.unique(start), price)
+    res, stages = first, (rounds,)
+    if secondary is not None and first.status == "optimal":
+        # the optimal face of min c.x is the master's feasible set once
+        # c.x <= opt is appended; no column of the face is dropped
+        cap = (c, first.objective)
+        res, cols, rounds, more = _generate(np.asarray(secondary, dtype=float), A, b, cols, price, cap)
+        stages += (rounds,)
+        pivots += more
+    x = np.zeros(A.shape[1])
+    x[cols] = res.x
+    objective = float(c @ x) if first.status == "optimal" else first.objective
+    duals = first.duals if secondary is None else None
+    return SimplexResult(x, objective, res.status, pivots, duals, stages, cols.size)
+
+
+def _generate(
+    cost: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    cols: np.ndarray,
+    price: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    cap: tuple[np.ndarray, float] | None = None,
+) -> tuple[SimplexResult, np.ndarray, int, int]:
+    """Column generation on min cost.x s.t. A x <= b, x >= 0, plus the row
+    cap[0].x <= cap[1] when `cap` is given.  Returns the last master's
+    result, its columns, the number of masters solved and their pivots."""
+    m = A.shape[0]
+    rhs = b if cap is None else np.append(b, cap[1])
+
+    def block(idx: np.ndarray) -> np.ndarray:
+        return A[:, idx] if cap is None else np.vstack([A[:, idx], cap[0][idx]])
+
+    rounds = pivots = 0
+    while True:
+        master = block(cols)
+        res = simplex_solve(cost[cols], master, rhs)
+        rounds += 1
+        pivots += res.pivots
+        if res.status != "optimal":
+            return res, cols, rounds, pivots
+        y = res.duals
+        folded = cost if cap is None else cost - y[m] * cap[0]
+        cand = np.setdiff1d(price(y[:m], folded), cols)
+        # reduced costs in the units of the master's tableau: rows scaled
+        # by their largest entry, then each column by its largest entry
+        entries = block(cand)
+        col_scale = _largest(entries / _largest(master, axis=1)[:, None], axis=0)
+        cand = cand[(cost[cand] - y @ entries) / col_scale < -_TOL]
+        if not cand.size:
+            return res, cols, rounds, pivots
+        cols = np.union1d(cols, cand)
+
+
+def _largest(M: np.ndarray, axis: int) -> np.ndarray:
+    """Largest |entry| along `axis`; 1 for a line of zeros."""
+    out = np.abs(M).max(axis=axis, initial=0.0)
+    out[out == 0.0] = 1.0
+    return out
 
 
 def _solve_scaled(
@@ -144,12 +249,10 @@ def _solve_scaled(
 
     # equilibrate rows then columns so the fixed pivot tolerances are
     # meaningful regardless of the caller's units
-    row_scale = np.abs(A).max(axis=1)
-    row_scale[row_scale == 0.0] = 1.0
+    row_scale = _largest(A, axis=1)
     A = A / row_scale[:, None]
     b = b / row_scale
-    col_scale = np.abs(A).max(axis=0)
-    col_scale[col_scale == 0.0] = 1.0
+    col_scale = _largest(A, axis=0)
     A = A / col_scale[None, :]
     c_scaled = c / col_scale
 
@@ -186,7 +289,7 @@ def _solve_scaled(
         # reduced-cost dust after it reaches zero is not a failure
         if T[-1, -1] < -1e-7:
             status = "iteration_cap" if status == "iteration_cap" else "infeasible"
-            return SimplexResult(np.zeros(n), np.inf, status, total_pivots)
+            return SimplexResult(np.zeros(n), np.inf, status, total_pivots, columns=n)
         # drive leftover artificial variables out of the basis
         for r in range(m):
             if basis[r] >= ncols:
@@ -194,11 +297,11 @@ def _solve_scaled(
                 if cand.size:
                     _pivot(T, basis, r, int(cand[0]))
                     total_pivots += 1
-        keep = [i for i in range(m) if basis[i] < ncols]
-        rows = keep + [m]
-        T = T[rows][:, list(range(ncols)) + [-1]]
-        basis = basis[keep]
+        kept = np.flatnonzero(basis < ncols)
+        T = T[np.append(kept, m)][:, list(range(ncols)) + [-1]]
+        basis = basis[kept]
     else:
+        kept = np.arange(m)
         T = np.zeros((m + 1, ncols + 1))
         T[:-1, :-1] = full
         T[:-1, -1] = b
@@ -208,6 +311,11 @@ def _solve_scaled(
     status, piv = _run_phase(T, basis, ncols)
     total_pivots += piv
     primary_unbounded = status == "unbounded"
+    duals = None
+    if secondary is None and status == "optimal":
+        # a slack's reduced cost is minus its row's scaled dual
+        duals = np.zeros(m)
+        duals[kept] = -T[-1, n + kept] / row_scale[kept]
 
     cols = np.arange(ncols)
     if secondary is not None and status == "optimal":
@@ -230,4 +338,4 @@ def _solve_scaled(
     x[cols[basis]] = T[:-1, -1]
     x = np.maximum(x[:n], 0.0) / col_scale
     objective = -np.inf if primary_unbounded else float(c @ x)
-    return SimplexResult(x, objective, status, total_pivots)
+    return SimplexResult(x, objective, status, total_pivots, duals, (), n)

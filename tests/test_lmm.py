@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from sortdist import lmm, simplex
 from sortdist.core import AtomicMeasure, DiscreteDistribution, Histogram, measure_of
 from sortdist.errors import DomainError, SupportViolationError
-from sortdist.intervals import build_scheme, locate
+from sortdist.harness import make_distribution
+from sortdist.intervals import DEFAULT_C1, build_scheme, locate
 from sortdist.lmm import (
+    _WEIGHT_EPS,
     build_lp,
     estimate_sorted_distribution,
     reference_decomposition,
     solve_lp,
     surrogate_loss,
 )
-from sortdist.moments import MomentTable, degree_for, moment_table_estimate
+from sortdist.moments import DEFAULT_C2, MomentTable, degree_for, moment_table_estimate
+from sortdist.sampling import sample_poissonized, substream
+from sortdist.simplex import simplex_solve
 from sortdist.wasserstein import w1
 
 
@@ -136,6 +141,95 @@ class TestBuildLP:
             res = solve_lp(build_lp(tab, s, 7))
             assert res.solver_status == "optimal"
             assert res.objective_value >= -1e-12
+
+
+def estimator_lp(family, seed, trial, n=10_000, k=5000):
+    scheme = build_scheme(n, DEFAULT_C1, "estimator")
+    h = sample_poissonized(make_distribution(family, k), n, substream(seed, trial))
+    targets = moment_table_estimate(h, scheme, degree_for(scheme.n, DEFAULT_C2), clamped=True)
+    return build_lp(targets, scheme, k)
+
+
+class TestColumnGeneration:
+    """The column-generation solve returns the lexicographic optimum that the
+    two-stage simplex reaches on the full LP."""
+
+    @pytest.mark.parametrize(
+        "family,seed,trial",
+        [("uniform", 7, 0), ("two-level", 7, 0), ("zipf:1", 7, 0), ("uniform", 77, 25)],
+        ids=["uniform", "two-level", "zipf:1", "c11-trial-25"],
+    )
+    def test_equals_full_lp(self, family, seed, trial):
+        lp = estimator_lp(family, seed, trial)
+        res = solve_lp(lp)
+        full = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary)
+        assert res.solver_status == full.status == "optimal"
+        w = full.x[:lp.n_weights]
+        keep = w > _WEIGHT_EPS
+        ref = AtomicMeasure(np.concatenate(lp.grids)[keep], w[keep])
+        assert np.array_equal(res.measure.locations, ref.locations)
+        assert np.allclose(res.measure.weights, ref.weights, rtol=0.0, atol=1e-12)
+        assert res.objective_value - lp.objective_const == pytest.approx(full.objective, rel=1e-9, abs=1e-12)
+
+    def test_pricer_matches_dense_reduced_costs(self):
+        s = build_scheme(10**3)
+        rng = np.random.default_rng(12)
+        lp = build_lp(MomentTable(rng.normal(size=(s.M, 3))), s, 50)
+        _, price = lmm._grid_column_generation(lp)
+        sizes = np.array([g.size for g in lp.grids])
+        ends = np.cumsum(sizes)
+        for _ in range(5):
+            # reduced costs of order 1e-6, so any error in a term of the
+            # polynomial moves the argmin
+            y = rng.normal(size=lp.b.size)
+            cost = y @ lp.A + 1e-6 * rng.normal(size=lp.c.size)
+            red = cost - y @ lp.A
+            best = [first + int(np.argmin(red[first:end])) for first, end in zip(ends - sizes, ends)]
+            assert price(y, cost).tolist() == best
+
+    def test_small_lps_match_the_direct_solve(self, monkeypatch):
+        # zero targets, random tables and a single grid atom at n = 1e3
+        s = build_scheme(10**3)
+        rng = np.random.default_rng(0)
+        lps = [build_lp(zero_table(s, 2), s, 5)]
+        for _ in range(5):
+            values = rng.normal(size=(s.M, 3)) * rng.choice([0.0, 1.0], size=(s.M, 3))
+            lps.append(build_lp(MomentTable(values), s, 7))
+        probe = build_lp(zero_table(s, 2), s, 10)
+        x_star = float(probe.grids[1][7])
+        lps.append(build_lp(table_from_atom(s, 2, x_star, m=probe.m_included[1]), s, 10))
+        direct = [solve_lp(lp) for lp in lps]
+        monkeypatch.setattr(lmm, "_COLUMN_GENERATION_ENTRIES", 0)
+        for lp, ref in zip(lps, direct):
+            res = solve_lp(lp)
+            assert ref.diagnostics["path"] == "direct" and ref.diagnostics["rounds"] == []
+            assert res.diagnostics["path"] == "column_generation"
+            assert res.solver_status == "optimal"
+            assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-9, abs=1e-12)
+            assert np.array_equal(res.measure.locations, ref.measure.locations)
+            assert np.allclose(res.measure.weights, ref.measure.weights, rtol=0.0, atol=1e-12)
+
+    def test_diagnostics_count_every_master(self, monkeypatch):
+        masters = []
+        solve = simplex.simplex_solve
+
+        def recorded(*args, **kwargs):
+            masters.append(solve(*args, **kwargs))
+            return masters[-1]
+
+        monkeypatch.setattr(simplex, "simplex_solve", recorded)
+        lp = estimator_lp("two-level", 7, 0)
+        res = solve_lp(lp)
+        diag = res.diagnostics
+        assert diag["path"] == "column_generation"
+        assert diag["pivots"] == sum(m.pivots for m in masters) > 0
+        assert len(diag["rounds"]) == 2 and sum(diag["rounds"]) == len(masters)
+        assert diag["status"] == res.solver_status == masters[-1].status == "optimal"
+        assert lp.c.size - lp.n_weights + 2 * len(lp.grids) <= diag["columns"] < lp.c.size
+        assert diag["atoms"] == res.measure.locations.size
+        assert diag["implied_total_probability"] == pytest.approx(
+            lp.k * float(res.measure.locations @ res.measure.weights), rel=1e-12
+        )
 
 
 class TestSingleAtomRecovery:

@@ -44,6 +44,29 @@ class TestAgainstHighs:
         assert np.all(A @ res.x <= b + 1e-9)
 
 
+class TestDuals:
+    """Row duals of min c.x s.t. A x <= b, x >= 0: the dual LP is
+    max b.y s.t. A^T y <= c, y <= 0."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duals_certify_the_optimum(self, seed):
+        c, A, b = random_lp(seed)
+        res = simplex_solve(c, A, b)
+        assert res.status == "optimal"
+        y = res.duals
+        assert y.shape == b.shape
+        assert np.all(y <= 0.0)
+        assert np.all(c - A.T @ y >= -1e-9)
+        # complementary slackness: a row with slack has price 0
+        slack = b - A @ res.x
+        assert np.all(np.abs(y[slack > 1e-9]) <= 1e-9)
+        assert b @ y == pytest.approx(res.objective, rel=1e-9, abs=1e-12)
+
+    def test_no_duals_with_a_secondary_cost(self):
+        c, A, b = random_lp(0)
+        assert simplex_solve(c, A, b, secondary=np.ones_like(c)).duals is None
+
+
 class TestSecondaryCost:
     """The second stage minimizes a secondary cost over the optimal face.
 
@@ -81,6 +104,44 @@ class TestSecondaryCost:
             n = single.x.size
             best = np.minimum(secondary[:n], secondary[n:]) @ single.x
             assert secondary @ res.x == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+
+class TestColumnGeneration:
+    """Masters over a subset of the columns, priced by a dense oracle that
+    offers the column of least reduced cost; x = 0 is feasible on the even
+    seeds, so one start column suffices."""
+
+    @staticmethod
+    def dense_oracle(A):
+        return lambda y, cost: np.array([np.argmin(cost - A.T @ y)])
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("seed", range(0, 20, 2))
+    def test_reaches_the_direct_optimum(self, seed, duplicated):
+        c, A, b = random_lp(seed)
+        if duplicated:
+            A = np.hstack([A, A])
+            c = np.concatenate([c, c])
+        secondary = np.random.default_rng(seed + 1000).normal(size=c.size)
+        for sec in (None, secondary):
+            direct = simplex_solve(c, A, b, secondary=sec)
+            res = simplex_solve(c, A, b, secondary=sec, start=np.array([0]), price=self.dense_oracle(A))
+            assert res.status == "optimal"
+            assert len(res.rounds) == (1 if sec is None else 2)
+            assert res.objective == pytest.approx(direct.objective, rel=1e-9, abs=1e-12)
+            assert np.all(A @ res.x <= b + 1e-9)
+            if sec is None:
+                assert b @ res.duals == pytest.approx(res.objective, rel=1e-9, abs=1e-12)
+            else:
+                assert sec @ res.x == pytest.approx(sec @ direct.x, rel=1e-9, abs=1e-12)
+
+    def test_master_status_ends_the_solve(self):
+        # the start column alone cannot meet x0 + x1 >= 1 with x0 <= 0
+        A = np.array([[1.0, 0.0], [-1.0, -1.0]])
+        b = np.array([0.0, -1.0])
+        res = simplex_solve(np.ones(2), A, b, start=np.array([0]), price=self.dense_oracle(A))
+        assert res.status == "infeasible"
+        assert res.rounds == (1,)
 
 
 def test_estimator_lp_secondary_matches_highs_lexicographic():

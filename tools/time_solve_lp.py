@@ -1,0 +1,64 @@
+"""Time `lmm.solve_lp` on the estimator LP of seeded Poissonized trials.
+
+    python3 tools/time_solve_lp.py --src src --n 100000 --k 5000 --family uniform --trials 3
+
+The package is imported from the `--src` directory, so the same command
+times two source trees.  Each trial samples family on substream(seed, t),
+builds the LP once, and times one `solve_lp` call.  Prints one JSON object:
+the LP shape, the per-trial times and their median, and the objective,
+status and atom count of every trial.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--family", required=True)
+    parser.add_argument("--trials", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=101)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+
+    from sortdist.harness import make_distribution
+    from sortdist.intervals import DEFAULT_C1, build_scheme
+    from sortdist.lmm import build_lp, solve_lp
+    from sortdist.moments import DEFAULT_C2, degree_for, moment_table_estimate
+    from sortdist.sampling import sample_poissonized, substream
+
+    scheme = build_scheme(args.n, DEFAULT_C1, "estimator")
+    depth = degree_for(scheme.n, DEFAULT_C2)
+    p = make_distribution(args.family, args.k)
+    times, trials = [], []
+    for t in range(args.trials):
+        h = sample_poissonized(p, args.n, substream(args.seed, t))
+        lp = build_lp(moment_table_estimate(h, scheme, depth, clamped=True), scheme, args.k)
+        start = time.perf_counter()
+        res = solve_lp(lp)
+        times.append(time.perf_counter() - start)
+        trials.append({
+            "objective": res.objective_value,
+            "status": res.solver_status,
+            "atoms": int(res.measure.locations.size),
+        })
+    print(json.dumps({
+        "n": args.n, "k": args.k, "family": args.family, "seed": args.seed,
+        "lp_rows": int(lp.A.shape[0]), "lp_cols": int(lp.A.shape[1]),
+        "solve_lp_s": times, "solve_lp_s_median": statistics.median(times),
+        "trials": trials,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
