@@ -94,9 +94,10 @@ class EstimateResult:
     solver_status: str
     targets: MomentTable
     # solver path, column-generation rounds per stage, the final master's
-    # column count, pivots over all masters, solver status, atom count and
-    # the implied total probability k * sum(x * w) of the LP atoms; not in
-    # to_json
+    # column count, pivots over all masters, solver status, the constraint
+    # violation max(0, max_i (A x - b)_i) over every row of the full LP, atom
+    # count and the implied total probability k * sum(x * w) of the LP
+    # atoms; not in to_json
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -235,6 +236,8 @@ def solve_lp(lp: LPInstance) -> EstimateResult:
     else:
         start, price = _grid_column_generation(lp)
         res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary, start=start, price=price)
+    support = np.flatnonzero(res.x != 0.0)
+    violation = max(0.0, float((lp.A[:, support] @ res.x[support] - lp.b).max()))
     w = res.x[:lp.n_weights]
     keep = w > _WEIGHT_EPS
     measure = AtomicMeasure(np.concatenate(lp.grids)[keep], w[keep])
@@ -249,6 +252,7 @@ def solve_lp(lp: LPInstance) -> EstimateResult:
             "columns": res.columns,
             "pivots": res.pivots,
             "status": res.status,
+            "violation": violation,
             "atoms": int(measure.locations.size),
             "implied_total_probability": lp.k * float(measure.locations @ measure.weights),
         },

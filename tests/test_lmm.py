@@ -231,6 +231,27 @@ class TestColumnGeneration:
             lp.k * float(res.measure.locations @ res.measure.weights), rel=1e-12
         )
 
+    @pytest.mark.parametrize("family", ["uniform", "two-level", "zipf:1"])
+    @pytest.mark.parametrize(
+        "n,k,path", [(10_000, 5000, "column_generation"), (1024, 200, "direct")]
+    )
+    def test_violation_is_the_full_lp_residual(self, monkeypatch, family, n, k, path):
+        solved = []
+        solve = lmm.simplex_solve
+
+        def recorded(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(lmm, "simplex_solve", recorded)
+        lp = estimator_lp(family, 7, 1, n=n, k=k)
+        diag = solve_lp(lp).diagnostics
+        assert diag["path"] == path and diag["status"] == "optimal"
+        dense = max(0.0, float((lp.A @ solved[-1].x - lp.b).max()))
+        assert 0.0 <= diag["violation"] <= 1e-9
+        # the support-only product sums in another order than the dense one
+        assert diag["violation"] == pytest.approx(dense, rel=0.0, abs=1e-14 * np.abs(lp.b).max())
+
 
 class TestSingleAtomRecovery:
     def test_recovers_grid_atom(self):

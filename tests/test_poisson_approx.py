@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sortdist.core import binomial_pmf, poisson_pmf
+from sortdist import poisson_approx
+from sortdist.core import binom_half_logpmf, binomial_pmf, poisson_pmf
 from sortdist.errors import DomainError, RateMismatchError
+from sortdist.harness import parse_function
 from sortdist.intervals import build_scheme
 from sortdist.poisson_approx import (
     LocalBlock,
@@ -205,6 +207,68 @@ class TestTruncateAndGlue:
         local_val = float(values @ poisson_pmf(rate * float(s.centers[i]), np.arange(lo, hi + 1)))
         # n^-4 localization plus the roundoff of a ~2000-term dot product
         assert abs(poly_like - local_val) <= n**-4 + 1e-12
+
+
+def reference_glue(blocks, scheme):
+    """The per-coefficient loop that `glue` reproduces byte for byte."""
+    j_max = 0
+    for blk in blocks:
+        if blk.values.size == 0:
+            continue
+        _, k_hi = scheme.half_range(blk.m)
+        j_max = max(j_max, k_hi + blk.offset + blk.values.size - 1)
+    out = np.zeros(j_max + 1)
+    for blk in blocks:
+        if blk.values.size == 0:
+            continue
+        k_lo, k_hi = scheme.half_range(blk.m)
+        k_lo = max(k_lo, 0)
+        if k_hi < k_lo:
+            continue
+        ks = np.arange(k_lo, k_hi + 1, dtype=float)
+        for li, b_l in enumerate(blk.values):
+            if b_l == 0.0:
+                continue
+            l = blk.offset + li
+            js = ks + l
+            out[js.astype(int)] += b_l * np.exp(binom_half_logpmf(js, ks))
+    return out
+
+
+def hand_made_blocks():
+    """Random blocks over the outer count ranges at n = 4096, a third of the
+    coefficients zero (some -0.0), with one empty and one all-zero block."""
+    n = 4096
+    s = build_scheme(n, 4.0, "approximation")
+    rate = n / 2.0
+    rng = np.random.default_rng(11)
+    blocks = []
+    for m in range(1, s.M + 1):
+        lo = max(int(math.ceil(s.cut_left[m - 1] * rate)), 0)
+        hi = int(math.floor(s.cut_right[m - 1] * rate))
+        values = rng.normal(size=hi - lo + 1)
+        values[rng.random(values.size) < 0.3] = 0.0
+        values[rng.random(values.size) < 0.05] = -0.0
+        if m == 2:
+            values = np.zeros(0)
+        elif m == 3:
+            values[:] = 0.0
+        blocks.append(LocalBlock(m=m, rate=rate, offset=lo, values=values))
+    return blocks, n, s
+
+
+@pytest.mark.parametrize("tile", [None, 7, 1000], ids=["default-tile", "tile-7", "tile-1000"])
+def test_glue_matches_reference_loop(monkeypatch, tile):
+    # small tiles put chunk edges inside every block
+    if tile is not None:
+        monkeypatch.setattr(poisson_approx, "_TILE_DOUBLES", tile)
+    cases = [hand_made_blocks()]
+    for name in ("abs", "identity"):
+        for n in (2**10, 2**12):
+            poly = build_poisson_approximation(parse_function(name), n)
+            cases.append((poly.blocks, n, poly.scheme))
+    for blocks, n, s in cases:
+        assert glue(blocks, n, s).tobytes() == reference_glue(blocks, s).tobytes()
 
 
 class TestFullConstruction:
