@@ -15,15 +15,14 @@ the lower principal representation of the matched moments instead of
 whichever vertex the pivoting path happens to reach; any minimizer of the
 objective carries the estimator's guarantee, so a fixed one keeps it.
 
-A large LP is solved by column generation over its grid: a restricted
-master holds every slack column and, at first, both end points of each
-interval's grid.  A grid column's reduced cost is a polynomial in its atom
-location, so each round prices every grid point from the interval
-polynomials and adds each interval's cheapest one.  The lexicographic
-optimum is reached by two column-generation loops: one on the objective,
-then one on the next moment with the row objective <= optimum appended to
-the master.  A small LP, where the cold-started masters cost more than
-pivoting the whole tableau, is solved directly by the two-stage simplex.
+The LP is solved by column generation over its grid: the simplex tableau
+starts from every slack column and both end points of each interval's grid,
+which hold every row's largest entry and so fix the row scaling.  A grid
+column's reduced cost is a polynomial in its atom location, so after each
+round of pivoting the interval polynomials price every grid point, and each
+interval's cheapest one joins the tableau.  The lexicographic optimum
+continues in the same tableau: once no column prices out on the objective,
+the row objective <= optimum is appended and the next moment is minimized.
 """
 
 from __future__ import annotations
@@ -60,13 +59,6 @@ MAX_GRID = 4096
 
 _WEIGHT_EPS = 1e-11
 
-# Entries of A from which column generation replaces the direct solve.  A
-# direct pivot updates every entry of the dense tableau, while the
-# cold-started masters cost about the same at any grid size; the two met
-# between 2e5 and 3e5 entries on a 2-core host (tiny LPs such as n = 8
-# solve 6x faster directly).
-_COLUMN_GENERATION_ENTRIES = 1 << 18
-
 
 def _grid_count(length: float, k: int, depth: int) -> int:
     return max(int(np.clip(math.ceil(8.0 * k * length), MIN_GRID, MAX_GRID)), 2 * depth, 2)
@@ -93,11 +85,10 @@ class EstimateResult:
     objective_value: float
     solver_status: str
     targets: MomentTable
-    # solver path, column-generation rounds per stage, the final master's
-    # column count, pivots over all masters, solver status, the constraint
-    # violation max(0, max_i (A x - b)_i) over every row of the full LP, atom
-    # count and the implied total probability k * sum(x * w) of the LP
-    # atoms; not in to_json
+    # pricing rounds per stage, the final tableau's column count, pivots,
+    # solver status, the constraint violation max(0, max_i (A x - b)_i) over
+    # every row of the full LP, atom count and the implied total probability
+    # k * sum(x * w) of the LP atoms; not in to_json
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -189,17 +180,18 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
 
 
 def _grid_column_generation(lp: LPInstance):
-    """The master's start columns and the pricing oracle for `simplex_solve`.
+    """The start columns and the pricing oracle for `simplex_solve`.
 
-    The master starts from every slack and both end points of each grid:
-    the zero measure is feasible, and the end points give the master the
-    full LP's row scaling.  The oracle returns each interval's grid column
-    of least reduced cost, read from the interval polynomials: against row
-    duals y, a weight at x = c_m + tl_m u in the mi-th included interval has
-    y.A_j = sum_d k u^d (y+ - y-)[m, d] + y_mean tl_m u plus terms constant
-    on the interval (its cumulative rows, the mass row and y_mean c_m).
-    Those do not move the interval's argmin, so they are left out;
-    `simplex_solve` checks each candidate's exact reduced cost.
+    The tableau starts from every slack and both end points of each grid:
+    the zero measure is feasible, and the end points hold every row's largest
+    |entry|, so the start columns give the full LP's row scaling.  The oracle
+    returns each interval's grid column of least reduced cost, read from the
+    interval polynomials: against row duals y, a weight at x = c_m + tl_m u
+    in the mi-th included interval has y.A_j = sum_d k u^d (y+ - y-)[m, d] +
+    y_mean tl_m u plus terms constant on the interval (its cumulative rows,
+    the mass row and y_mean c_m).  Those do not move the interval's argmin,
+    so they are left out; `simplex_solve` checks each candidate's exact
+    reduced cost.
     """
     depth, k = lp.targets.depth, lp.k
     n_res = (depth + 1) * len(lp.m_included)
@@ -229,13 +221,9 @@ def _grid_column_generation(lp: LPInstance):
 
 def solve_lp(lp: LPInstance) -> EstimateResult:
     """Solve to the optimal vertex of least next moment (the module docstring
-    says which); returns the measure before zero-completion.  LPs with
-    fewer than _COLUMN_GENERATION_ENTRIES entries are solved directly."""
-    if lp.A.size < _COLUMN_GENERATION_ENTRIES:
-        res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary)
-    else:
-        start, price = _grid_column_generation(lp)
-        res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary, start=start, price=price)
+    says which); returns the measure before zero-completion."""
+    start, price = _grid_column_generation(lp)
+    res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary, start=start, price=price)
     support = np.flatnonzero(res.x != 0.0)
     violation = max(0.0, float((lp.A[:, support] @ res.x[support] - lp.b).max()))
     w = res.x[:lp.n_weights]
@@ -247,7 +235,6 @@ def solve_lp(lp: LPInstance) -> EstimateResult:
         solver_status=res.status,
         targets=lp.targets,
         diagnostics={
-            "path": "column_generation" if res.rounds else "direct",
             "rounds": list(res.rounds),
             "columns": res.columns,
             "pivots": res.pivots,

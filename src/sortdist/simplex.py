@@ -7,26 +7,29 @@ cycling.  Every choice is a deterministic function of the instance, so the
 returned vertex is too.  Not a general-purpose LP library: dense tableau,
 no presolve, sized for a few hundred rows.
 
+The whole solve keeps one tableau.  Phase 1 finds a feasible basis, and
+phase 2 pivots on the cost from there.  Given a pricing oracle, the tableau
+starts from a subset of the columns of A and grows by column generation
+(Gilmore-Gomory): after each round of pivoting the oracle turns the row
+duals into candidate columns, and every candidate whose reduced cost is
+below -_TOL is appended and pivoting resumes from the current basis.  The
+slack columns hold B^-1, so a new column's tableau entries are those
+columns times its equilibrated column of A; columns that never price out
+never enter.  Without an oracle every column is there from the start.
+
 An optional secondary cost picks one point of the optimal face when it holds
-more than one vertex.  A second stage warm-starts from the phase-2 tableau,
-keeps only the columns whose reduced cost is at most the optimality
-tolerance (the others must stay at zero on the face), installs the
-secondary cost reduced against the basis, and runs the same pivoting path;
-the primary objective does not move.
+more than one vertex.  A second stage appends the row c.x <= opt to the same
+tableau, written against the basis with its slack basic at 0, installs the
+secondary cost and runs the same pivoting path (and pricing rounds); the
+primary objective does not move.  Pivoting drifts, so the returned vertex is
+recomputed by solving for the basic values from the equilibrated columns of
+the final basis.
 
 Every optimal solve without a secondary cost also returns the row duals y
 (`SimplexResult.duals`) in the caller's units: y <= 0, c - A^T y >= 0 on
 the columns up to the optimality tolerance, and b.y is the objective.  They
 are read from the final tableau's slack columns, whose reduced costs are
--y times the row scale; a row dropped as redundant after phase 1 has price 0.
-
-Given a pricing oracle, the LP is solved by column generation
-(Gilmore-Gomory): each restricted master, holding a subset of the columns
-of A, is solved cold by `simplex_solve` itself, and the oracle turns the
-master's duals into candidate columns.  A candidate joins when its reduced
-cost, scaled like the master's tableau, is below -_TOL; a stage ends when a
-round adds none.  A secondary cost gets a second loop on the master with the
-row c.x <= opt appended, so the full A is never put in a tableau.
+-y times the row scale.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ class SimplexResult:
     # row duals in the caller's units; None unless optimal without a
     # secondary cost
     duals: np.ndarray | None = None
-    # master solves per column-generation stage; () for a direct solve
+    # rounds of pivoting per stage, each but a stage's last followed by new
+    # columns from the pricing oracle; 1 per stage without one
     rounds: tuple[int, ...] = ()
-    # columns in the final tableau: the last master's under column generation
+    # columns of A in the final tableau
     columns: int = 0
 
 
@@ -152,86 +156,100 @@ def simplex_solve(
     With `secondary`, the returned vertex minimizes secondary.x over the
     optimal face of min c.x; the pivots of both stages are counted.
 
-    With `price`, solve by column generation from the columns `start`.
-    `price(y, cost)` gets a master's row duals and the cost it minimized,
-    with the duals of any appended row folded into that cost, and returns
-    candidate columns; `pivots` sums over the masters.  The first master
-    that is not optimal ends the solve with its status.
+    With `price`, the tableau starts from the columns `start`, which must hold
+    a feasible point.  `price(y, cost)` gets the row duals after each round of
+    pivoting and the cost being minimized, with the dual of the row c.x <= opt
+    folded into that cost, and returns candidate columns.  A round that ends
+    short of optimal ends the solve with its status.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if price is not None:
-        return _column_generation(c, A, b, secondary, np.asarray(start), price)
-    res = _solve_scaled(c, A, b, secondary)
-    if res.status == "optimal":
-        violation = float((A @ res.x - b).max(initial=0.0))
+    m, n = A.shape
+    cols = np.arange(n) if price is None else np.unique(start)
+    # equilibrate rows then columns so the fixed pivot tolerances are
+    # meaningful regardless of the caller's units; rows are scaled over the
+    # start columns, so later columns leave the scaling alone
+    row_scale = _largest(A[:, cols], axis=1)
+
+    def scaled(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Columns J of the equilibrated system and their column scales."""
+        M = A[:, J] / row_scale[:m, None]
+        scale = _largest(M, axis=0)
+        if row_scale.size > m:  # the lexicographic stage's row c.x <= opt
+            M = np.vstack([M, c[J] / row_scale[m]])
+        return M / scale, scale
+
+    M, col_scale = scaled(cols)
+    in_tableau = np.zeros(n, dtype=bool)
+    in_tableau[cols] = True
+    T, basis, status, pivots = _phase_one(M, b / row_scale)
+    if status != "optimal":
+        return SimplexResult(np.zeros(n), np.inf, status, pivots, rounds=(1,), columns=cols.size)
+
+    rounds: list[int] = []
+    opt = 0.0
+    for cost in [c] if secondary is None else [c, np.asarray(secondary, dtype=float)]:
+        if rounds:
+            # c.x = opt + d.x for the reduced costs d in the objective row,
+            # so the row c.x <= opt written against the basis is d.x + s = 0,
+            # scaled, with its slack s basic at 0
+            opt = -T[-1, -1]
+            width = T.shape[1] - 1
+            row_scale = np.append(row_scale, np.abs(c[cols] / col_scale).max(initial=0.0) or 1.0)
+            row = np.append(T[-1, :-1] / row_scale[m], [1.0, 0.0])
+            T = np.insert(np.insert(T, width, 0.0, axis=1), m, row, axis=0)
+            basis = np.append(basis, width)
+        _install_cost(T, basis, cost[cols] / col_scale)
+        rounds.append(0)
+        while True:
+            rounds[-1] += 1
+            status, piv = _run_phase(T, basis, T.shape[1] - 1)
+            pivots += piv
+            if price is None or status != "optimal":
+                break
+            # the slack columns hold B^-1, and their reduced costs are minus
+            # the scaled row duals
+            slack = slice(cols.size, T.shape[1] - 1)
+            y = -T[-1, slack] / row_scale
+            folded = cost if y.size == m else cost - y[m] * c
+            cand = np.unique(price(y[:m], folded))
+            cand = cand[~in_tableau[cand]]
+            M, scale = scaled(cand)
+            new = T[:, slack] @ M
+            new[-1] += cost[cand] / scale
+            enter = new[-1] < -_TOL
+            if not enter.any():
+                break
+            cand = cand[enter]
+            in_tableau[cand] = True
+            T = np.concatenate([T[:, :cols.size], new[:, enter], T[:, cols.size:]], axis=1)
+            basis[basis >= cols.size] += cand.size
+            cols = np.concatenate([cols, cand])
+            col_scale = np.concatenate([col_scale, scale[enter]])
+        if status != "optimal":
+            break
+
+    duals = None
+    if secondary is None and status == "optimal":
+        duals = -T[-1, cols.size:cols.size + m] / row_scale
+    # a warm tableau drifts, so the vertex is recomputed from the basis columns
+    structural = basis < cols.size
+    B = np.zeros((basis.size, basis.size))
+    B[:, structural], scale = scaled(cols[basis[structural]])
+    B[basis[~structural] - cols.size, np.flatnonzero(~structural)] = 1.0
+    values = np.linalg.solve(B, np.append(b / row_scale[:m], opt / row_scale[m:]))
+    x = np.zeros(n)
+    x[cols[basis[structural]]] = np.maximum(values[structural], 0.0) / scale
+    # only an unbounded first stage makes the objective unbounded
+    objective = -np.inf if status == "unbounded" and len(rounds) == 1 else float(c @ x)
+    if status == "optimal":
+        support = np.flatnonzero(x)
+        violation = float((A[:, support] @ x[support] - b).max(initial=0.0))
         if violation > 1e-6 * (1.0 + np.abs(b).max(initial=0.0)):
-            res.status = "degenerate"
-            res.duals = None
-    return res
-
-
-def _column_generation(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    secondary: np.ndarray | None,
-    start: np.ndarray,
-    price: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> SimplexResult:
-    first, cols, rounds, pivots = _generate(c, A, b, np.unique(start), price)
-    res, stages = first, (rounds,)
-    if secondary is not None and first.status == "optimal":
-        # the optimal face of min c.x is the master's feasible set once
-        # c.x <= opt is appended; no column of the face is dropped
-        cap = (c, first.objective)
-        res, cols, rounds, more = _generate(np.asarray(secondary, dtype=float), A, b, cols, price, cap)
-        stages += (rounds,)
-        pivots += more
-    x = np.zeros(A.shape[1])
-    x[cols] = res.x
-    objective = float(c @ x) if first.status == "optimal" else first.objective
-    duals = first.duals if secondary is None else None
-    return SimplexResult(x, objective, res.status, pivots, duals, stages, cols.size)
-
-
-def _generate(
-    cost: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    cols: np.ndarray,
-    price: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    cap: tuple[np.ndarray, float] | None = None,
-) -> tuple[SimplexResult, np.ndarray, int, int]:
-    """Column generation on min cost.x s.t. A x <= b, x >= 0, plus the row
-    cap[0].x <= cap[1] when `cap` is given.  Returns the last master's
-    result, its columns, the number of masters solved and their pivots."""
-    m = A.shape[0]
-    rhs = b if cap is None else np.append(b, cap[1])
-
-    def block(idx: np.ndarray) -> np.ndarray:
-        return A[:, idx] if cap is None else np.vstack([A[:, idx], cap[0][idx]])
-
-    rounds = pivots = 0
-    while True:
-        master = block(cols)
-        res = simplex_solve(cost[cols], master, rhs)
-        rounds += 1
-        pivots += res.pivots
-        if res.status != "optimal":
-            return res, cols, rounds, pivots
-        y = res.duals
-        folded = cost if cap is None else cost - y[m] * cap[0]
-        cand = np.setdiff1d(price(y[:m], folded), cols)
-        # reduced costs in the units of the master's tableau: rows scaled
-        # by their largest entry, then each column by its largest entry
-        entries = block(cand)
-        col_scale = _largest(entries / _largest(master, axis=1)[:, None], axis=0)
-        cand = cand[(cost[cand] - y @ entries) / col_scale < -_TOL]
-        if not cand.size:
-            return res, cols, rounds, pivots
-        cols = np.union1d(cols, cand)
+            status = "degenerate"
+            duals = None
+    return SimplexResult(x, objective, status, pivots, duals, tuple(rounds), cols.size)
 
 
 def _largest(M: np.ndarray, axis: int) -> np.ndarray:
@@ -241,101 +259,40 @@ def _largest(M: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _solve_scaled(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, secondary: np.ndarray | None
-) -> SimplexResult:
-    b = b.copy()
-    m, n = A.shape
+def _phase_one(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, int]:
+    """The tableau [M | I | rhs] at a feasible basis, with no objective yet.
 
-    # equilibrate rows then columns so the fixed pivot tolerances are
-    # meaningful regardless of the caller's units
-    row_scale = _largest(A, axis=1)
-    A = A / row_scale[:, None]
-    b = b / row_scale
-    col_scale = _largest(A, axis=0)
-    A = A / col_scale[None, :]
-    c_scaled = c / col_scale
-
-    # A x + s = b with slack per row; rows with negative rhs are negated and
-    # receive an artificial variable for the phase-1 basis.
-    full = np.hstack([A, np.eye(m)])
-    neg = b < 0
-    full[neg] *= -1.0
-    b[neg] *= -1.0
-    art_rows = np.where(neg)[0]
-    n_art = art_rows.size
+    Rows with negative rhs are negated and receive an artificial variable for
+    the phase-1 basis; phase 1 drives the artificials to zero and then out of
+    the basis.  Returns the tableau, its basis, a status and the pivots.
+    """
+    m, n = M.shape
     ncols = n + m
-    if n_art:
-        art_block = np.zeros((m, n_art))
-        for idx, r in enumerate(art_rows):
-            art_block[r, idx] = 1.0
-        full = np.hstack([full, art_block])
-
-    basis = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        basis[i] = ncols + np.searchsorted(art_rows, i) if neg[i] else n + i
-
-    total_pivots = 0
-    if n_art:
-        T = np.zeros((m + 1, full.shape[1] + 1))
-        T[:-1, :-1] = full
-        T[:-1, -1] = b
-        T[-1, ncols:-1] = 1.0
-        for idx, r in enumerate(art_rows):
-            T[-1] -= T[r]
-        status, piv = _run_phase(T, basis, full.shape[1])
-        total_pivots += piv
-        # feasibility is decided by the artificial objective alone; leftover
-        # reduced-cost dust after it reaches zero is not a failure
-        if T[-1, -1] < -1e-7:
-            status = "iteration_cap" if status == "iteration_cap" else "infeasible"
-            return SimplexResult(np.zeros(n), np.inf, status, total_pivots, columns=n)
-        # drive leftover artificial variables out of the basis
-        for r in range(m):
-            if basis[r] >= ncols:
-                cand = np.where(np.abs(T[r, :ncols]) > _TOL)[0]
-                if cand.size:
-                    _pivot(T, basis, r, int(cand[0]))
-                    total_pivots += 1
-        kept = np.flatnonzero(basis < ncols)
-        T = T[np.append(kept, m)][:, list(range(ncols)) + [-1]]
-        basis = basis[kept]
-    else:
-        kept = np.arange(m)
-        T = np.zeros((m + 1, ncols + 1))
-        T[:-1, :-1] = full
-        T[:-1, -1] = b
-
-    # phase 2: install the real objective, reduced against the current basis
-    _install_cost(T, basis, c_scaled)
-    status, piv = _run_phase(T, basis, ncols)
-    total_pivots += piv
-    primary_unbounded = status == "unbounded"
-    duals = None
-    if secondary is None and status == "optimal":
-        # a slack's reduced cost is minus its row's scaled dual
-        duals = np.zeros(m)
-        duals[kept] = -T[-1, n + kept] / row_scale[kept]
-
-    cols = np.arange(ncols)
-    if secondary is not None and status == "optimal":
-        # second stage over the optimal face: a column with positive reduced
-        # cost is zero at every optimum, so only the others may enter
-        face = T[-1, :ncols] <= _TOL
-        face[basis] = True
-        cols = np.flatnonzero(face)
-        position = np.full(ncols, -1, dtype=np.int64)
-        position[cols] = np.arange(cols.size)
-        T = T[:, np.append(cols, ncols)]
-        basis = position[basis]
-        structural = cols[cols < n]
-        cost = np.asarray(secondary, dtype=float)[structural] / col_scale[structural]
-        _install_cost(T, basis, cost)
-        status, piv = _run_phase(T, basis, cols.size)
-        total_pivots += piv
-
-    x = np.zeros(ncols)
-    x[cols[basis]] = T[:-1, -1]
-    x = np.maximum(x[:n], 0.0) / col_scale
-    objective = -np.inf if primary_unbounded else float(c @ x)
-    return SimplexResult(x, objective, status, total_pivots, duals, (), n)
+    art_rows = np.flatnonzero(rhs < 0)
+    n_art = art_rows.size
+    T = np.zeros((m + 1, ncols + n_art + 1))
+    T[:-1, :n] = M
+    T[:-1, n:ncols] = np.eye(m)
+    T[:-1, -1] = rhs
+    T[art_rows, :ncols] *= -1.0
+    T[art_rows, -1] *= -1.0
+    T[art_rows, ncols + np.arange(n_art)] = 1.0
+    basis = n + np.arange(m)
+    basis[art_rows] = ncols + np.arange(n_art)
+    if not n_art:
+        return T, basis, "optimal", 0
+    T[-1, ncols:-1] = 1.0
+    for r in art_rows:
+        T[-1] -= T[r]
+    status, pivots = _run_phase(T, basis, ncols + n_art)
+    # feasibility is decided by the artificial objective alone; leftover
+    # reduced-cost dust after it reaches zero is not a failure
+    if T[-1, -1] < -1e-7:
+        return T, basis, "iteration_cap" if status == "iteration_cap" else "infeasible", pivots
+    # drive leftover artificials out of the basis.  Row r's slack columns hold
+    # row r of B^-1, whose largest |entry| is at least 1/m since the basis
+    # columns have entries of at most 1, so the row has a pivot
+    for r in np.flatnonzero(basis >= ncols):
+        _pivot(T, basis, r, int(np.flatnonzero(np.abs(T[r, :ncols]) > _TOL)[0]))
+        pivots += 1
+    return T[:, np.r_[:ncols, -1]], basis, "optimal", pivots

@@ -5,8 +5,9 @@
 The package is imported from the `--src` directory, so the same command
 times two source trees.  Each trial samples family on substream(seed, t),
 builds the LP once, and times one `solve_lp` call.  Prints one JSON object:
-the LP shape, the per-trial times and their median, and the objective,
-status and atom count of every trial.
+the LP shape, the per-trial times and their median, and per trial the
+objective, status, atom count, pivots, pricing rounds per stage and the
+constraint violation from the estimate's diagnostics.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def main(argv: list[str] | None = None) -> int:
             "objective": res.objective_value,
             "status": res.solver_status,
             "atoms": int(res.measure.locations.size),
+            **{key: res.diagnostics[key] for key in ("pivots", "rounds", "violation")},
         })
     print(json.dumps({
         "n": args.n, "k": args.k, "family": args.family, "seed": args.seed,
