@@ -35,7 +35,10 @@ from .poisson_approx import DEFAULT_APPROX_C1, DEFAULT_APPROX_C2
 
 
 def _read_histogram(path: str) -> Histogram:
-    counts = [int(line) for line in Path(path).read_text().split() if line.strip()]
+    try:
+        counts = [int(line) for line in Path(path).read_text().split()]
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read counts from {path!r}: {exc}") from None
     return Histogram(np.asarray(counts, dtype=np.int64))
 
 
@@ -81,7 +84,10 @@ def _cmd_competitive(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",")]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise DomainError(f"--n-list {args.n_list!r} is not a comma list of integers") from None
     t0 = time.perf_counter()
     result = run_approx_sweep(
         args.f, n_list, eps=args.eps, delta=args.delta, c1=args.c1, c2=args.c2
@@ -100,7 +106,10 @@ def _parse_profile(text: str) -> Profile:
     text = text.strip()
     if text.startswith("{"):
         return Profile.from_sparse_json(text)
-    raw = [int(x) for x in text.split(",")]
+    try:
+        raw = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise DomainError(f"profile {text!r} is not a comma list of integers") from None
     n = sum((i + 1) * c for i, c in enumerate(raw))
     phi = np.zeros(n, dtype=np.int64)
     phi[: len(raw)] = raw

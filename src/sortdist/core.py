@@ -32,7 +32,6 @@ __all__ = [
     "measure_of",
     "poisson_pmf",
     "binomial_pmf",
-    "poisson_cdf",
     "poisson_interval_prob",
     "poisson_tail",
 ]
@@ -56,6 +55,8 @@ class DiscreteDistribution:
         object.__setattr__(self, "masses", m)
         if m.ndim != 1 or m.size == 0:
             raise DomainError("masses must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("masses must be finite")
         if np.any(m < 0):
             raise DomainError("negative probability mass")
         if abs(float(m.sum()) - 1.0) > _MASS_TOL:
@@ -85,7 +86,10 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise DomainError("counts must be integers")
+        c = raw.astype(np.int64, copy=False)
         object.__setattr__(self, "counts", c)
         if c.ndim != 1:
             raise DomainError("counts must be 1-D")
@@ -120,9 +124,6 @@ class Profile:
         total = int(np.dot(np.arange(1, n + 1), p))
         if total != n:
             raise DomainError(f"profile inconsistent: sum i*phi_i = {total} != n = {n}")
-
-    def multiplicity(self, i: int) -> int:
-        return int(self.phi[i - 1]) if 1 <= i <= self.n else 0
 
     @property
     def distinct_symbols(self) -> int:
@@ -290,22 +291,16 @@ def _assignment_index_tuples(parts: tuple[int, ...], k: int) -> tuple[tuple[int,
     return tuple(rec(frozenset(range(k)), 0))
 
 
-def _expanded_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    # parts grouped by distinct value, matching _assignment_index_tuples order
-    out: list[int] = []
-    for value in sorted(set(parts), reverse=True):
-        out.extend([value] * parts.count(value))
-    return tuple(out)
-
-
 def monomial_symmetric(p_rows: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
     """m_lambda evaluated at each row of p_rows, lambda given by `parts`."""
     rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
     k = rows.shape[1]
     if len(parts) > k:
         return np.zeros(rows.shape[0])
-    assignments = _assignment_index_tuples(tuple(parts), k)
-    exps = np.asarray(_expanded_parts(tuple(parts)), dtype=float)
+    # in decreasing order, the order _assignment_index_tuples places them in
+    parts = tuple(sorted(parts, reverse=True))
+    assignments = _assignment_index_tuples(parts, k)
+    exps = np.asarray(parts, dtype=float)
     out = np.zeros(rows.shape[0])
     for idx in assignments:
         out += np.prod(rows[:, list(idx)] ** exps, axis=1)
@@ -460,13 +455,6 @@ def binomial_pmf(n: int, q: float, j) -> np.ndarray | float:
 def binom_half_logpmf(j, s):
     """log of the Binomial(j, 1/2) pmf at s <= j, through log-gamma."""
     return gammaln(j + 1.0) - gammaln(s + 1.0) - gammaln(j - s + 1.0) - j * math.log(2.0)
-
-
-def poisson_cdf(t, lam: float):
-    """P(Poisson(lam) <= t) for integer t, exact via the regularized gamma tail."""
-    tt = np.floor(np.asarray(t, dtype=float))
-    out = np.where(tt < 0, 0.0, gammaincc(np.maximum(tt, 0.0) + 1.0, lam))
-    return float(out) if np.isscalar(t) else out
 
 
 def poisson_interval_prob(lam, lo: int, hi: int):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +82,6 @@ class TrialRecord:
     estimator: str
     error: float
     objective: float
-    wall_time: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.error <= 2.0 + 1e-9:
@@ -97,7 +95,10 @@ def make_distribution(dist: str, k: int) -> DiscreteDistribution:
     if dist == "uniform":
         return DiscreteDistribution(np.full(k, 1.0 / k))
     if dist.startswith("zipf"):
-        s = float(dist.split(":", 1)[1]) if ":" in dist else 1.0
+        try:
+            s = float(dist.split(":", 1)[1]) if ":" in dist else 1.0
+        except ValueError:
+            raise DomainError(f"zipf exponent in {dist!r} is not a number") from None
         w = 1.0 / np.arange(1, k + 1) ** s
         return DiscreteDistribution(w / w.sum())
     if dist == "two-level":
@@ -112,8 +113,12 @@ def make_distribution(dist: str, k: int) -> DiscreteDistribution:
         masses[0] = 1.0
         return DiscreteDistribution(masses)
     if dist.startswith("file:"):
-        payload = json.loads(Path(dist.split(":", 1)[1]).read_text())
-        return DiscreteDistribution(np.asarray(payload, dtype=float))
+        path = dist.split(":", 1)[1]
+        try:
+            masses = np.asarray(json.loads(Path(path).read_text()), dtype=float)
+        except (OSError, ValueError, TypeError) as exc:
+            raise DomainError(f"cannot read masses from {path!r}: {exc}") from None
+        return DiscreteDistribution(masses)
     raise DomainError(f"unknown distribution family {dist!r}")
 
 
@@ -147,14 +152,11 @@ def run_benchmark(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
             h = sample_poissonized(p, config.n, gen)
         else:
             h = sample_iid(p, config.n, gen)
-        t0 = time.perf_counter()
         res = estimate_sorted_distribution(h, config.k, scheme, c2=config.c2)
-        lmm_time = time.perf_counter() - t0
         lmm_err = config.k * w1(res.measure, mu_p)
-        records.append(TrialRecord(trial, "lmm", lmm_err, res.objective_value, lmm_time))
-        t0 = time.perf_counter()
+        records.append(TrialRecord(trial, "lmm", lmm_err, res.objective_value))
         emp_err = sorted_l1_vectors(h.counts / config.n, p.masses)
-        records.append(TrialRecord(trial, "empirical", emp_err, 0.0, time.perf_counter() - t0))
+        records.append(TrialRecord(trial, "empirical", emp_err, 0.0))
     summary = summarize_benchmark(config, records)
     return records, summary
 
@@ -199,16 +201,6 @@ def trials_to_csv(records: list[TrialRecord]) -> str:
     return buf.getvalue()
 
 
-def _profile_to_histogram(phi, k: int) -> Histogram:
-    counts = []
-    for i in range(phi.n, 0, -1):
-        counts.extend([i] * int(phi.phi[i - 1]))
-    if len(counts) > k:
-        k = len(counts)
-    counts = counts + [0] * (k - len(counts))
-    return Histogram(np.asarray(counts, dtype=np.int64))
-
-
 def run_competitive_check(config: ExperimentConfig) -> dict:
     """Exact failure accounting of the profile-likelihood plug-in at tiny n.
 
@@ -228,7 +220,8 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     scheme = build_scheme(n, 1.0, "estimator")
 
     def estimator(phi):
-        h = _profile_to_histogram(phi, k)
+        parts = phi.parts()
+        h = Histogram(np.asarray(parts + (0,) * (k - len(parts)), dtype=np.int64))
         return estimate_sorted_distribution(h, k, scheme, c2=config.c2).measure
 
     def loss(measure, q):
@@ -303,7 +296,10 @@ def parse_function(spec: str):
     if spec in _NAMED_FUNCTIONS:
         return _NAMED_FUNCTIONS[spec]
     if spec.startswith("abs@"):
-        c = float(spec.split("@", 1)[1])
+        try:
+            c = float(spec.split("@", 1)[1])
+        except ValueError:
+            raise DomainError(f"kink in {spec!r} is not a number") from None
         return lambda x: abs(x - c)
     raise DomainError(f"unknown function spec {spec!r}")
 

@@ -33,10 +33,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import AtomicMeasure, DiscreteDistribution, Histogram, poisson_interval_prob
+from .core import AtomicMeasure, DiscreteDistribution, Histogram
 from .errors import DomainError, SupportViolationError
 from .intervals import DEFAULT_C1, IntervalScheme, build_scheme
-from .moments import DEFAULT_C2, MomentTable, degree_for, moment_table_estimate
+from .moments import DEFAULT_C2, MomentTable, degree_for, half_sample_landing_prob, moment_table_estimate
 from .simplex import simplex_solve
 
 __all__ = [
@@ -86,9 +86,9 @@ class EstimateResult:
     solver_status: str
     targets: MomentTable
     # pricing rounds per stage, the final tableau's column count, pivots,
-    # solver status, the constraint violation max(0, max_i (A x - b)_i) over
-    # every row of the full LP, atom count and the implied total probability
-    # k * sum(x * w) of the LP atoms; not in to_json
+    # solver status, the simplex's constraint violation max(0, max_i (A x -
+    # b)_i) over every row of the full LP, atom count and the implied total
+    # probability k * sum(x * w) of the LP atoms; not in to_json
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -224,8 +224,6 @@ def solve_lp(lp: LPInstance) -> EstimateResult:
     says which); returns the measure before zero-completion."""
     start, price = _grid_column_generation(lp)
     res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary, start=start, price=price)
-    support = np.flatnonzero(res.x != 0.0)
-    violation = max(0.0, float((lp.A[:, support] @ res.x[support] - lp.b).max()))
     w = res.x[:lp.n_weights]
     keep = w > _WEIGHT_EPS
     measure = AtomicMeasure(np.concatenate(lp.grids)[keep], w[keep])
@@ -239,7 +237,7 @@ def solve_lp(lp: LPInstance) -> EstimateResult:
             "columns": res.columns,
             "pivots": res.pivots,
             "status": res.status,
-            "violation": violation,
+            "violation": res.violation,
             "atoms": int(measure.locations.size),
             "implied_total_probability": lp.k * float(measure.locations @ measure.weights),
         },
@@ -305,8 +303,7 @@ def reference_decomposition(
         if not np.any(sel):
             out.append(None)
             continue
-        lo, hi = scheme.half_range(m)
-        damp = poisson_interval_prob(scheme.n * p.masses[sel] / 2.0, lo, hi)
+        damp = half_sample_landing_prob(p.masses[sel], scheme, m)
         out.append(AtomicMeasure(p.masses[sel], damp / k))
     return out
 

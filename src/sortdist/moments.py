@@ -32,6 +32,7 @@ __all__ = [
     "smoothed_moment_true",
     "smoothed_moment_estimate",
     "effective_support",
+    "half_sample_landing_prob",
     "moment_table_estimate",
     "moment_table_true",
     "degree_for",
@@ -115,21 +116,28 @@ class MomentTable:
         return buf.getvalue()
 
 
-def _half_sample_interval_prob(p_masses: np.ndarray, scheme: IntervalScheme, m: int) -> np.ndarray:
+def half_sample_landing_prob(p_masses: np.ndarray, scheme: IntervalScheme, m: int) -> np.ndarray:
+    """P(Poisson(n p / 2) lands in interval m's half-sample range), per mass p."""
     lo, hi = scheme.half_range(m)
     return poisson_interval_prob(scheme.n * p_masses / 2.0, lo, hi)
 
 
+def _true_moments(p: DiscreteDistribution, scheme: IntervalScheme, m: int, depth: int) -> np.ndarray:
+    """Smoothed moments of degrees 0..depth in interval m from one power table,
+    each row summed along its contiguous last axis as a 1-D sum would be."""
+    diff = p.masses - scheme.centers[scheme.index(m)]
+    powers = np.array([diff**d for d in range(depth + 1)])
+    return (powers * half_sample_landing_prob(p.masses, scheme, m)).sum(axis=1)
+
+
 def smoothed_moment_true(p: DiscreteDistribution, m: int, d: int, scheme: IntervalScheme) -> float:
     """Sum over symbols of (p_j - x_m)^d times the half-sample landing probability."""
-    i = scheme.index(m)
-    prob = _half_sample_interval_prob(p.masses, scheme, m)
-    return float(np.sum((p.masses - scheme.centers[i]) ** d * prob))
+    return float(_true_moments(p, scheme, m, d)[d])
 
 
 def effective_support(p: DiscreteDistribution, m: int, scheme: IntervalScheme) -> float:
     """Expected number of symbols whose half-sample count lands in the interval."""
-    return float(np.sum(_half_sample_interval_prob(p.masses, scheme, m)))
+    return float(_true_moments(p, scheme, m, 0)[0])
 
 
 def _distinct_counts(h: Histogram):
@@ -150,10 +158,10 @@ def smoothed_moment_estimate(
     independent half sample: the landing half selects the interval and the
     kernel is evaluated on the leftover half.  With `clamped`, the kernel is
     the cutoff version (the estimator actually deployed); without, the raw
-    kernel, whose expectation is exactly the true smoothed moment.
+    kernel, whose expectation is exactly the true smoothed moment.  Reads
+    entry (m, d) of `moment_table_estimate`.
     """
-    table = moment_table_estimate(h, scheme, depth=d, clamped=clamped, only_m=m)
-    return table.value(m, d)
+    return float(moment_table_estimate(h, scheme, depth=d, clamped=clamped).values[scheme.index(m), d])
 
 
 def moment_table_estimate(
@@ -161,7 +169,6 @@ def moment_table_estimate(
     scheme: IntervalScheme,
     depth: int,
     clamped: bool = True,
-    only_m: int | None = None,
 ) -> MomentTable:
     """All estimated moments (m in 1..M, d in 0..depth) in one histogram pass.
 
@@ -173,24 +180,21 @@ def moment_table_estimate(
     n = scheme.n
     M = scheme.M
     values = np.zeros((M, depth + 1))
-    ms = range(1, M + 1) if only_m is None else [only_m]
-    ranges = {m: scheme.half_range(m) for m in ms}
+    ranges = [scheme.half_range(m) for m in range(1, M + 1)]
     dist_vals, dist_counts = _distinct_counts(h)
     for v, cnt in zip(dist_vals, dist_counts):
         v = int(v)
-        for m in ms:
-            lo, hi = ranges[m]
+        for i, (lo, hi) in enumerate(ranges):
             lo_v, hi_v = max(lo, 0), min(hi, v)
             if hi_v < lo_v:
                 continue
             s = np.arange(lo_v, hi_v + 1)
             pmf = np.exp(binom_half_logpmf(v, s))
             z = (v - s) / (n / 2.0)
-            i = m - 1
             if clamped:
                 z = np.clip(z, scheme.cut_left[i], scheme.cut_right[i])
             fam = g_family(depth, float(scheme.centers[i]), z, n)
-            values[m - 1] += cnt * (fam @ pmf)
+            values[i] += cnt * (fam @ pmf)
     return MomentTable(values)
 
 
@@ -200,11 +204,4 @@ def moment_table_true(
     depth: int,
 ) -> MomentTable:
     """Exact smoothed moments of a known distribution, same layout."""
-    M = scheme.M
-    values = np.zeros((M, depth + 1))
-    for m in range(1, M + 1):
-        prob = _half_sample_interval_prob(p.masses, scheme, m)
-        diff = p.masses - scheme.centers[m - 1]
-        for d in range(depth + 1):
-            values[m - 1, d] = float(np.sum(diff**d * prob))
-    return MomentTable(values)
+    return MomentTable(np.array([_true_moments(p, scheme, m, depth) for m in range(1, scheme.M + 1)]))

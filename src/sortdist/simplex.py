@@ -25,11 +25,11 @@ primary objective does not move.  Pivoting drifts, so the returned vertex is
 recomputed by solving for the basic values from the equilibrated columns of
 the final basis.
 
-Every optimal solve without a secondary cost also returns the row duals y
-(`SimplexResult.duals`) in the caller's units: y <= 0, c - A^T y >= 0 on
-the columns up to the optimality tolerance, and b.y is the objective.  They
-are read from the final tableau's slack columns, whose reduced costs are
--y times the row scale.
+The row duals y that `price` receives are in the caller's units, read from
+the tableau's slack columns, whose reduced costs are -y times the row scale.
+The last y of the first stage certifies min c.x: y <= 0, c - A^T y >= 0 on
+the columns up to the optimality tolerance, and b.y is the objective.  Every
+result reports the violation max(0, max_i (A x - b)_i) of the x it returns.
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ class SimplexResult:
     # violates the original constraints, i.e. tableau drift corrupted it
     status: str
     pivots: int
-    # row duals in the caller's units; None unless optimal without a
-    # secondary cost
-    duals: np.ndarray | None = None
+    # max(0, max_i (A x - b)_i) of the returned x over every row of A
+    violation: float
     # rounds of pivoting per stage, each but a stage's last followed by new
     # columns from the pricing oracle; 1 per stage without one
     rounds: tuple[int, ...] = ()
@@ -185,7 +184,8 @@ def simplex_solve(
     in_tableau[cols] = True
     T, basis, status, pivots = _phase_one(M, b / row_scale)
     if status != "optimal":
-        return SimplexResult(np.zeros(n), np.inf, status, pivots, rounds=(1,), columns=cols.size)
+        x = np.zeros(n)
+        return SimplexResult(x, np.inf, status, pivots, _violation(A, b, x), (1,), cols.size)
 
     rounds: list[int] = []
     opt = 0.0
@@ -230,9 +230,6 @@ def simplex_solve(
         if status != "optimal":
             break
 
-    duals = None
-    if secondary is None and status == "optimal":
-        duals = -T[-1, cols.size:cols.size + m] / row_scale
     # a warm tableau drifts, so the vertex is recomputed from the basis columns
     structural = basis < cols.size
     B = np.zeros((basis.size, basis.size))
@@ -243,13 +240,16 @@ def simplex_solve(
     x[cols[basis[structural]]] = np.maximum(values[structural], 0.0) / scale
     # only an unbounded first stage makes the objective unbounded
     objective = -np.inf if status == "unbounded" and len(rounds) == 1 else float(c @ x)
-    if status == "optimal":
-        support = np.flatnonzero(x)
-        violation = float((A[:, support] @ x[support] - b).max(initial=0.0))
-        if violation > 1e-6 * (1.0 + np.abs(b).max(initial=0.0)):
-            status = "degenerate"
-            duals = None
-    return SimplexResult(x, objective, status, pivots, duals, tuple(rounds), cols.size)
+    violation = _violation(A, b, x)
+    if status == "optimal" and violation > 1e-6 * (1.0 + np.abs(b).max(initial=0.0)):
+        status = "degenerate"
+    return SimplexResult(x, objective, status, pivots, violation, tuple(rounds), cols.size)
+
+
+def _violation(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """max(0, max_i (A x - b)_i), multiplying only the nonzero entries of x."""
+    support = np.flatnonzero(x)
+    return max(0.0, float((A[:, support] @ x[support] - b).max(initial=0.0)))
 
 
 def _largest(M: np.ndarray, axis: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from sortdist.core import (
     enumerate_profiles,
     histogram_of_samples,
     measure_of,
-    poisson_cdf,
+    monomial_symmetric,
+    poisson_interval_prob,
     poisson_pmf,
     poisson_tail,
     profile_of_histogram,
@@ -55,6 +56,18 @@ class TestHistogramProfile:
             histogram_of_samples([0, 1], 2)
         with pytest.raises(DomainError):
             histogram_of_samples([3], 2)
+
+    def test_histogram_rejects_non_integer_counts(self):
+        for counts in ([1.7, 2], [np.nan, 2.0], [np.inf]):
+            with pytest.raises(DomainError, match="integers"):
+                Histogram(counts)
+        assert Histogram([3.0, 0.0]).counts.tolist() == [3, 0]
+
+    def test_distribution_rejects_non_finite_masses(self):
+        # NaN passes both the sign and the sum check
+        for masses in ([np.nan, 0.5, 0.5], [np.inf, 0.5]):
+            with pytest.raises(DomainError, match="finite"):
+                DiscreteDistribution(masses)
 
     def test_profile_of_histogram(self):
         assert profile_of_histogram(Histogram([2, 1])).phi.tolist() == [1, 1, 0]
@@ -161,6 +174,13 @@ class TestProfileProbability:
             assert profile_probability(perm, phi) == pytest.approx(base, rel=1e-12, abs=1e-15)
             assert profile_probability(padded, phi) == pytest.approx(base, rel=1e-12, abs=1e-15)
 
+    def test_monomial_symmetric_ignores_part_order(self):
+        rows = np.random.default_rng(6).random((7, 5))
+        for parts in [(3, 1, 1), (2, 2, 1, 1), (4, 2, 1), (1, 1, 1, 1, 1)]:
+            want = monomial_symmetric(rows, parts).tobytes()
+            for perm in set(itertools.permutations(parts)):
+                assert monomial_symmetric(rows, perm).tobytes() == want
+
     def test_scale_cap(self):
         p = dist(*([1.0 / 9] * 9))
         with pytest.raises(ResourceLimitError):
@@ -257,7 +277,7 @@ class TestPmfKernels:
             lam = rng.uniform(0.1, 50)
             t = int(rng.integers(0, 80))
             want = float(poisson_pmf(lam, np.arange(0, t + 1)).sum())
-            assert poisson_cdf(t, lam) == pytest.approx(want, abs=1e-12)
+            assert poisson_interval_prob(lam, 0, t) == pytest.approx(want, abs=1e-12)
 
 
 class TestPoissonTail:
@@ -273,9 +293,9 @@ class TestPoissonTail:
             for delta in np.arange(0.1, 2.05, 0.1):
                 up, low = poisson_tail(lam, float(delta))
                 hi_cut = int(math.ceil((1 + delta) * lam - 1e-9))
-                exact_up = 1.0 - poisson_cdf(hi_cut - 1, lam)
+                exact_up = 1.0 - poisson_interval_prob(lam, 0, hi_cut - 1)
                 lo_cut = int(math.floor((1 - delta) * lam + 1e-9))
-                exact_low = poisson_cdf(lo_cut, lam) if lo_cut >= 0 else 0.0
+                exact_low = poisson_interval_prob(lam, 0, lo_cut) if lo_cut >= 0 else 0.0
                 assert exact_up <= up + 1e-12
                 assert exact_low <= low + 1e-12
 

@@ -295,6 +295,36 @@ class TestCLIDeterminism:
         assert "k must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "files, args, message",
+        [
+            ({}, ["benchmark", "--n", "1024", "--k", "20", "--trials", "1", "--dist", "zipf:abc"],
+             "zipf exponent"),
+            ({}, ["benchmark", "--n", "1024", "--k", "20", "--trials", "1", "--dist", "file:missing.json"],
+             "cannot read masses"),
+            ({"p.json": "[NaN, 0.5, 0.5]"},
+             ["benchmark", "--n", "1024", "--k", "3", "--trials", "1", "--dist", "file:p.json"],
+             "masses must be finite"),
+            ({"h.txt": "40\n1.5\n"}, ["estimate", "h.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
+            ({}, ["estimate", "missing.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
+            ({}, ["approx", "--f", "abs@x", "--n-list", "1024"], "kink"),
+            ({}, ["approx", "--n-list", "10x"], "--n-list"),
+            ({}, ["pml", "--profile", "a,b"], "comma list of integers"),
+        ],
+        ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing", "abs@x",
+             "n-list-10x", "profile-a,b"],
+    )
+    def test_malformed_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, files, args, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--out", "out"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "sortdist: error:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_pml_profile_forms(self, tmp_path):
         out1 = tmp_path / "p1.json"
         out2 = tmp_path / "p2.json"

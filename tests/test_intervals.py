@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from sortdist.core import poisson_cdf
 from sortdist.errors import DegenerateSchemeError, DomainError
 from sortdist.intervals import (
     DEFAULT_C1,

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sortdist.core import DiscreteDistribution, Histogram, binomial_pmf, poisson_pmf
+from sortdist.core import DiscreteDistribution, Histogram, binomial_pmf, poisson_interval_prob, poisson_pmf
+from sortdist.harness import make_distribution
 from sortdist.intervals import build_scheme
 from sortdist.moments import (
     degree_for,
@@ -318,3 +319,31 @@ class TestEstimator:
         text = tab.to_csv()
         assert text.splitlines()[0] == "m,d,estimate,truth_if_known"
         assert len(text.splitlines()) == 1 + s.M * 2
+
+
+def true_table_by_degree(p, s, depth):
+    """The per-degree loop reference for moment_table_true."""
+    values = np.zeros((s.M, depth + 1))
+    for m in range(1, s.M + 1):
+        lo, hi = s.half_range(m)
+        prob = poisson_interval_prob(s.n * p.masses / 2.0, lo, hi)
+        diff = p.masses - s.centers[m - 1]
+        for d in range(depth + 1):
+            values[m - 1, d] = float(np.sum(diff**d * prob))
+    return values
+
+
+@pytest.mark.parametrize("depth", [0, 2, 5])
+@pytest.mark.parametrize("family", ["uniform", "two-level", "zipf:1"])
+def test_true_table_bytes_match_per_degree_loop(family, depth):
+    rng = np.random.default_rng(17)
+    for n in (64, 1024, 10_000):
+        k = int(rng.integers(2, 3000))
+        p = DiscreteDistribution(make_distribution(family, k).masses[rng.permutation(k)])
+        s = build_scheme(n, 8.0)
+        want = true_table_by_degree(p, s, depth)
+        assert moment_table_true(p, s, depth).values.tobytes() == want.tobytes()
+        for m in range(1, s.M + 1):
+            assert effective_support(p, m, s) == want[m - 1, 0]
+            for d in range(depth + 1):
+                assert smoothed_moment_true(p, m, d, s) == want[m - 1, d]

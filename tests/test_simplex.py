@@ -44,16 +44,30 @@ class TestAgainstHighs:
         assert np.all(A @ res.x <= b + 1e-9)
 
 
+def recording_oracle(A):
+    """A dense pricing oracle offering the column of least reduced cost; the
+    list it returns holds every y it received."""
+    received = []
+
+    def price(y, cost):
+        received.append(y)
+        return np.array([np.argmin(cost - A.T @ y)])
+
+    return price, received
+
+
 class TestDuals:
     """Row duals of min c.x s.t. A x <= b, x >= 0: the dual LP is
-    max b.y s.t. A^T y <= c, y <= 0."""
+    max b.y s.t. A^T y <= c, y <= 0.  The last y the pricing oracle receives
+    certifies the optimum."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_duals_certify_the_optimum(self, seed):
         c, A, b = random_lp(seed)
-        res = simplex_solve(c, A, b)
+        price, received = recording_oracle(A)
+        res = simplex_solve(c, A, b, start=np.arange(c.size), price=price)
         assert res.status == "optimal"
-        y = res.duals
+        y = received[-1]
         assert y.shape == b.shape
         assert np.all(y <= 0.0)
         assert np.all(c - A.T @ y >= -1e-9)
@@ -61,10 +75,6 @@ class TestDuals:
         slack = b - A @ res.x
         assert np.all(np.abs(y[slack > 1e-9]) <= 1e-9)
         assert b @ y == pytest.approx(res.objective, rel=1e-9, abs=1e-12)
-
-    def test_no_duals_with_a_secondary_cost(self):
-        c, A, b = random_lp(0)
-        assert simplex_solve(c, A, b, secondary=np.ones_like(c)).duals is None
 
 
 class TestSecondaryCost:
@@ -111,10 +121,6 @@ class TestColumnGeneration:
     offers the column of least reduced cost; x = 0 is feasible on the even
     seeds, so one start column suffices."""
 
-    @staticmethod
-    def dense_oracle(A):
-        return lambda y, cost: np.array([np.argmin(cost - A.T @ y)])
-
     @pytest.mark.parametrize("duplicated", [False, True])
     @pytest.mark.parametrize("seed", range(0, 20, 2))
     def test_reaches_the_direct_optimum(self, seed, duplicated):
@@ -125,13 +131,14 @@ class TestColumnGeneration:
         secondary = np.random.default_rng(seed + 1000).normal(size=c.size)
         for sec in (None, secondary):
             direct = simplex_solve(c, A, b, secondary=sec)
-            res = simplex_solve(c, A, b, secondary=sec, start=np.array([0]), price=self.dense_oracle(A))
+            price, received = recording_oracle(A)
+            res = simplex_solve(c, A, b, secondary=sec, start=np.array([0]), price=price)
             assert res.status == "optimal"
             assert len(res.rounds) == (1 if sec is None else 2)
             assert res.objective == pytest.approx(direct.objective, rel=1e-9, abs=1e-12)
             assert np.all(A @ res.x <= b + 1e-9)
             if sec is None:
-                assert b @ res.duals == pytest.approx(res.objective, rel=1e-9, abs=1e-12)
+                assert b @ received[-1] == pytest.approx(res.objective, rel=1e-9, abs=1e-12)
             else:
                 assert sec @ res.x == pytest.approx(sec @ direct.x, rel=1e-9, abs=1e-12)
 
@@ -139,7 +146,7 @@ class TestColumnGeneration:
         # the start column alone cannot meet x0 + x1 >= 1 with x0 <= 0
         A = np.array([[1.0, 0.0], [-1.0, -1.0]])
         b = np.array([0.0, -1.0])
-        res = simplex_solve(np.ones(2), A, b, start=np.array([0]), price=self.dense_oracle(A))
+        res = simplex_solve(np.ones(2), A, b, start=np.array([0]), price=recording_oracle(A)[0])
         assert res.status == "infeasible"
         assert res.rounds == (1,)
 
@@ -195,27 +202,47 @@ class TestBealeCycling:
 
 
 class TestStatuses:
+    @staticmethod
+    def assert_violation(res, A, b):
+        # the residual of the returned x over every row; the solver's
+        # support-only product sums in another order than the dense one
+        dense = max(0.0, float((A @ res.x - b).max()))
+        assert res.violation == pytest.approx(dense, rel=0.0, abs=1e-14 * np.abs(b).max())
+
+    def test_optimal(self):
+        # min -x0 - x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6
+        A, b = np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0])
+        res = simplex_solve(np.array([-1.0, -1.0]), A, b)
+        assert res.status == "optimal"
+        assert res.x == pytest.approx([1.6, 1.2], rel=1e-12)
+        self.assert_violation(res, A, b)
+
     def test_unbounded(self):
         # min -x s.t. -x <= 1
-        res = simplex_solve(np.array([-1.0]), np.array([[-1.0]]), np.array([1.0]))
+        A, b = np.array([[-1.0]]), np.array([1.0])
+        res = simplex_solve(np.array([-1.0]), A, b)
         assert res.status == "unbounded"
         assert res.objective == -np.inf
+        self.assert_violation(res, A, b)
 
     def test_secondary_unbounded_on_the_face(self):
         # min x0 s.t. x0 <= 1: the optimal face x0 = 0 leaves x1 free, and
         # the secondary cost -x1 has no minimum there
-        res = simplex_solve(
-            np.array([1.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0]),
-            secondary=np.array([0.0, -1.0]),
-        )
+        A, b = np.array([[1.0, 0.0]]), np.array([1.0])
+        res = simplex_solve(np.array([1.0, 0.0]), A, b, secondary=np.array([0.0, -1.0]))
         assert res.status == "unbounded"
         assert res.objective == 0.0
+        self.assert_violation(res, A, b)
 
     def test_infeasible(self):
         # x <= 1 and x >= 2
-        res = simplex_solve(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
+        A, b = np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
+        res = simplex_solve(np.array([1.0]), A, b)
         assert res.status == "infeasible"
         assert res.objective == np.inf
+        # the returned x = 0 misses x >= 2 by 2
+        assert res.violation == 2.0
+        self.assert_violation(res, A, b)
 
 
 # (pivots, support of x > 1e-11) of the estimator's LP at n = 1e4, k = 5000
