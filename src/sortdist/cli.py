@@ -62,7 +62,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_benchmark(args) -> int:
     config = ExperimentConfig(
         n=args.n, k=args.k, dist=args.dist, trials=args.trials, seed=args.seed,
-        eps=args.eps, delta=args.delta, c1=args.c1, c2=args.c2, sampling=args.sampling,
+        eps=args.eps, c1=args.c1, c2=args.c2, sampling=args.sampling,
     )
     t0 = time.perf_counter()
     records, summary = run_benchmark(config)
@@ -75,8 +75,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_competitive(args) -> int:
     config = ExperimentConfig(
-        n=args.n, k=args.k, dist=args.dist, seed=args.seed, eps=args.eps,
-        delta=args.delta, c2=args.c2,
+        n=args.n, k=args.k, dist=args.dist, eps=args.eps, delta=args.delta, c2=args.c2,
     )
     report = run_competitive_check(config)
     _write(Path(args.out) / "competitive.json", json.dumps(report, sort_keys=True, indent=1) + "\n")
@@ -110,6 +109,12 @@ def _parse_profile(text: str) -> Profile:
         raw = [int(x) for x in text.split(",")]
     except ValueError:
         raise DomainError(f"profile {text!r} is not a comma list of integers") from None
+    if any(c < 0 for c in raw):
+        raise DomainError(f"profile {text!r} has a negative multiplicity")
+    while raw and raw[-1] == 0:
+        raw.pop()
+    if not raw:
+        raise DomainError(f"profile {text!r} is empty")
     n = sum((i + 1) * c for i, c in enumerate(raw))
     phi = np.zeros(n, dtype=np.int64)
     phi[: len(raw)] = raw
@@ -156,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=20)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--eps", type=float, default=0.1)
-    bench.add_argument("--delta", type=float, default=1.0)
     bench.add_argument("--c1", type=float, default=DEFAULT_C1)
     bench.add_argument("--c2", type=float, default=DEFAULT_C2)
     bench.add_argument("--sampling", choices=["poissonized", "iid"], default="poissonized")
@@ -167,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--n", type=int, default=6)
     comp.add_argument("--k", type=int, default=3)
     comp.add_argument("--dist", default="uniform")
-    comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--eps", type=float, default=0.5)
     comp.add_argument("--delta", type=float, default=0.1)
     comp.add_argument("--c2", type=float, default=1.0, help="deeper moments than the benchmark default; n is tiny here")

@@ -71,13 +71,6 @@ class DiscreteDistribution:
             raise DomainError("cannot pad to a smaller support")
         return DiscreteDistribution(np.concatenate([self.masses, np.zeros(k - self.k)]))
 
-    def to_json(self) -> str:
-        return json.dumps([float(x) for x in self.masses])
-
-    @staticmethod
-    def from_json(text: str) -> "DiscreteDistribution":
-        return DiscreteDistribution(np.asarray(json.loads(text), dtype=float))
-
 
 @dataclass(frozen=True)
 class Histogram:
@@ -117,6 +110,8 @@ class Profile:
         object.__setattr__(self, "phi", p)
         n = int(p.size) if self.n == 0 else int(self.n)
         object.__setattr__(self, "n", n)
+        if n < 1:
+            raise DomainError("a profile needs n >= 1")
         if p.ndim != 1 or p.size != n:
             raise DomainError("phi must have length n")
         if np.any(p < 0):
@@ -142,11 +137,19 @@ class Profile:
 
     @staticmethod
     def from_sparse_json(text: str) -> "Profile":
-        obj = json.loads(text)
-        n = int(obj["n"])
+        try:
+            obj = json.loads(text)
+            n = int(obj["n"])
+            entries = [(int(key), int(val)) for key, val in obj["phi"].items()]
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise DomainError(f"profile {text!r} is not JSON with an n and a phi map") from None
+        if n < 1:
+            raise DomainError("a profile needs n >= 1")
         phi = np.zeros(n, dtype=np.int64)
-        for key, val in obj["phi"].items():
-            phi[int(key) - 1] = int(val)
+        for i, c in entries:
+            if not 1 <= i <= n:
+                raise DomainError(f"multiplicity index {i} outside 1..{n}")
+            phi[i - 1] = c
         return Profile(phi, n)
 
 
@@ -189,9 +192,6 @@ class AtomicMeasure:
     def is_probability(self) -> bool:
         return abs(self.total_mass - 1.0) <= _MASS_TOL
 
-    def mean(self) -> float:
-        return float(np.dot(self.locations, self.weights))
-
     def pruned(self, tol: float = 0.0) -> "AtomicMeasure":
         keep = self.weights > tol
         return AtomicMeasure(self.locations[keep], self.weights[keep])
@@ -204,18 +204,6 @@ class AtomicMeasure:
 
     def __repr__(self):
         return f"AtomicMeasure({self.locations.size} atoms, mass={self.total_mass:.6g})"
-
-    def to_json(self) -> str:
-        atoms = [[float(x), float(w)] for x, w in zip(self.locations, self.weights)]
-        return json.dumps({"atoms": atoms})
-
-    @staticmethod
-    def from_json(text: str) -> "AtomicMeasure":
-        atoms = json.loads(text)["atoms"]
-        if not atoms:
-            return AtomicMeasure([], [])
-        loc, wt = zip(*atoms)
-        return AtomicMeasure(loc, wt)
 
     @staticmethod
     def dirac(x: float, weight: float = 1.0) -> "AtomicMeasure":

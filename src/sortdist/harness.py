@@ -23,7 +23,7 @@ from .errors import DomainError, ResourceLimitError
 from .intervals import DEFAULT_C1, build_scheme
 from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
-from .pml import brute_force_pml, good_set, min_prob_round
+from .pml import PML_K_CAP, PML_N_CAP, brute_force_pml, good_set, min_prob_round
 from .poisson_approx import (
     DEFAULT_APPROX_C1,
     DEFAULT_APPROX_C2,
@@ -48,7 +48,6 @@ __all__ = [
 
 BENCH_N_CAP = 10**6
 BENCH_TRIALS_CAP = 10**3
-COMPETITIVE_N_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     eps: float = 0.1
-    delta: float = 1.0
+    delta: float = 1.0  # read by nothing; perfbench passes 0.1 and competitive.json echoes it
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
     sampling: str = "poissonized"
@@ -122,10 +121,11 @@ def make_distribution(dist: str, k: int) -> DiscreteDistribution:
     raise DomainError(f"unknown distribution family {dist!r}")
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if total == 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -211,10 +211,10 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     curves are bounds, not predictions).
     """
     n, k = config.n, config.k
-    if n > COMPETITIVE_N_CAP:
-        raise ResourceLimitError(f"competitive check capped at n <= {COMPETITIVE_N_CAP}")
-    if k > 5:
-        raise ResourceLimitError("competitive check capped at k <= 5")
+    if n > PML_N_CAP:
+        raise ResourceLimitError(f"competitive check capped at n <= {PML_N_CAP}")
+    if k > PML_K_CAP:
+        raise ResourceLimitError(f"competitive check capped at k <= {PML_K_CAP}")
     p = make_distribution(config.dist, config.k)
     mu_p = measure_of(p)
     scheme = build_scheme(n, 1.0, "estimator")
@@ -237,7 +237,7 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     eps_prime = 0.0
     for phi in profiles:
         prob = profile_probability(p, phi)
-        pml, like = brute_force_pml(phi, k_max=min(k, 5))
+        pml, like = brute_force_pml(phi, k_max=k)
         rounded = min_prob_round(pml, phi)
         eps_prime = max(eps_prime, sorted_l1(pml, rounded))
         d = sorted_l1(pml, p)
@@ -363,11 +363,11 @@ def coefficients_to_csv(poly, f) -> str:
     return buf.getvalue()
 
 
-def error_curve_to_csv(poly, f, points: int = 257) -> str:
+def error_curve_to_csv(poly, f) -> str:
     buf = io.StringIO()
     buf.write("x,f,approx,abs_error,weighted_error\n")
     n = poly.n
-    for x in np.linspace(0.0, 1.0, points):
+    for x in np.linspace(0.0, 1.0, 257):
         fx, Fx = f(float(x)), evaluate(poly, float(x))
         weight = math.sqrt(max(x, 1.0 / n) / (n * math.log(n)))
         buf.write(f"{x!r},{fx!r},{Fx!r},{abs(fx - Fx)!r},{abs(fx - Fx) / weight!r}\n")

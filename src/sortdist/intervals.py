@@ -13,7 +13,6 @@ polynomials.  Two variants exist:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -70,23 +69,6 @@ class IntervalScheme:
         lo = int(math.ceil(self.tilde_left[i] * self.n - 1e-12))
         hi = int(math.floor(self.tilde_right[i] * self.n + 1e-12))
         return lo, hi
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "c1": self.c1,
-            "variant": self.variant,
-            "M": self.M,
-            "unit": self.unit,
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "tilde_left": self.tilde_left.tolist(),
-            "tilde_right": self.tilde_right.tolist(),
-            "cut_left": self.cut_left.tolist(),
-            "cut_right": self.cut_right.tolist(),
-            "centers": self.centers.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def build_scheme(n: int, c1: float = DEFAULT_C1, variant: str = "estimator") -> IntervalScheme:

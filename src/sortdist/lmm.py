@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import AtomicMeasure, DiscreteDistribution, Histogram
 from .errors import DomainError, SupportViolationError
-from .intervals import DEFAULT_C1, IntervalScheme, build_scheme
+from .intervals import IntervalScheme
 from .moments import DEFAULT_C2, MomentTable, degree_for, half_sample_landing_prob, moment_table_estimate
 from .simplex import simplex_solve
 
@@ -311,9 +311,8 @@ def reference_decomposition(
 def estimate_sorted_distribution(
     h: Histogram,
     k: int,
-    scheme: IntervalScheme | None = None,
+    scheme: IntervalScheme,
     c2: float = DEFAULT_C2,
-    c1: float = DEFAULT_C1,
 ) -> EstimateResult:
     """End-to-end estimate of the sorted mass multiset from a histogram.
 
@@ -324,10 +323,6 @@ def estimate_sorted_distribution(
     """
     if k < 1:
         raise DomainError("k must be at least 1")
-    if scheme is None:
-        if h.n < 16:
-            raise DomainError("n must be at least 16")
-        scheme = build_scheme(h.n, c1, "estimator")
     depth = degree_for(scheme.n, c2)
     targets = moment_table_estimate(h, scheme, depth, clamped=True)
     partial = solve_lp(build_lp(targets, scheme, k))

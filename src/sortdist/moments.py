@@ -14,7 +14,6 @@ binomial sum for d beyond ~20.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -105,15 +104,6 @@ class MomentTable:
 
     def value(self, m: int, d: int) -> float:
         return float(self.values[m - 1, d])
-
-    def to_csv(self, truth: "MomentTable | None" = None) -> str:
-        buf = io.StringIO()
-        buf.write("m,d,estimate,truth_if_known\n")
-        for m in range(1, self.M + 1):
-            for d in range(self.depth + 1):
-                t = "" if truth is None else repr(truth.value(m, d))
-                buf.write(f"{m},{d},{self.value(m, d)!r},{t}\n")
-        return buf.getvalue()
 
 
 def half_sample_landing_prob(p_masses: np.ndarray, scheme: IntervalScheme, m: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from .core import (
     enumerate_profiles,
     profile_probability,
     profile_probability_many,
+    sorted_l1,
 )
 from .errors import ConstructionFailedError, DomainError, ResourceLimitError
 
@@ -229,6 +230,8 @@ def brute_force_pml(
     the untruncated maximum; the grid optimum is exact within the grid class
     of k_max-support distributions at the given resolution.
     """
+    if k_max < 1 or grid_resolution < 1:
+        raise DomainError("k_max and grid_resolution must be at least 1")
     if phi.n > PML_N_CAP or k_max > PML_K_CAP:
         raise ResourceLimitError(
             f"brute-force search capped at n <= {PML_N_CAP}, k_max <= {PML_K_CAP}"
@@ -297,7 +300,6 @@ def check_goodset_lemma(
     delta: float,
     estimator: Callable[[Profile], AtomicMeasure],
     loss: Callable[[AtomicMeasure, DiscreteDistribution], float],
-    distance: Callable[[DiscreteDistribution, DiscreteDistribution], float] | None = None,
 ) -> bool:
     """One falsification instance of the good-set implication.
 
@@ -305,13 +307,10 @@ def check_goodset_lemma(
     failure mass under q is at most delta, then q must be within 2*eps of p.
     Returns True when the implication holds (vacuously or not).
     """
-    from .core import sorted_l1
-
-    d = distance or sorted_l1
     # compatibility of the loss with the distance on this instance
     for phi in good[: min(4, len(good))]:
         a = estimator(phi)
-        if d(p, q) > loss(a, p) + loss(a, q) + 1e-9:
+        if sorted_l1(p, q) > loss(a, p) + loss(a, q) + 1e-9:
             raise DomainError("loss is not compatible with the distance on this instance")
     mass_q_good = sum(profile_probability(q, phi) for phi in good)
     if mass_q_good <= delta:
@@ -324,7 +323,7 @@ def check_goodset_lemma(
     )
     if bad_mass_q > delta:
         return True  # estimator assumption fails at q; implication is vacuous
-    return d(q, p) <= 2.0 * eps + 1e-12
+    return sorted_l1(q, p) <= 2.0 * eps + 1e-12
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 Pipeline: interpolate the function on each local interval by a low-degree
 polynomial (Chebyshev nodes give a near-best fit), convert the shifted
 monomial basis into the Poisson falling-factorial basis at half rate,
-truncate each block to its outer interval, and splice the blocks with
-binomial mixture weights.  The result approximates 1-Lipschitz functions at
-the sqrt(x / (n log n)) scale while keeping every coefficient within
-O(n^(eps-1) sqrt(j)) of the plain choice f(j/n).
+evaluating each block only on the counts of its outer range, and splice
+the blocks with binomial mixture weights.  The result approximates
+1-Lipschitz functions at the sqrt(x / (n log n)) scale while keeping every
+coefficient within O(n^(eps-1) sqrt(j)) of the plain choice f(j/n).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "ApproxReport",
     "jackson_approx",
     "monomial_to_poisson",
-    "truncate_local",
     "glue",
     "evaluate",
     "evaluate_blocked",
@@ -144,13 +143,9 @@ def jackson_approx(
         raise DomainError(f"degree capped at {D_MAX}")
     if hi <= lo:
         raise DomainError("empty interval")
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if degree < 1:
-        probes = np.linspace(lo, hi, 5)
-        vals = np.asarray([f(float(x)) for x in probes])
-        if np.ptp(vals) > 1e-14:
-            raise DomainError("degree 0 cannot represent a non-constant function")
-        degree = 0
+        raise DomainError("degree must be at least 1")
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = _cheb_nodes(degree + 1)
     xs = mid + half * nodes
     ys = np.asarray([f(float(x)) for x in xs])
@@ -190,21 +185,6 @@ def _outer_count_range(scheme: IntervalScheme, m: int, rate: float) -> tuple[int
         int(math.ceil(scheme.cut_left[i] * rate - 1e-9)),
         int(math.floor(scheme.cut_right[i] * rate + 1e-9)),
     )
-
-
-def truncate_local(
-    b_star: np.ndarray, m: int, scheme: IntervalScheme, rate: float, j_lo: int = 0
-) -> LocalBlock:
-    """Zero all coefficients outside the outer interval's count range."""
-    if scheme.variant != "approximation":
-        raise DomainError("truncation needs the approximation-variant scheme")
-    lo, hi = _outer_count_range(scheme, m, rate)
-    first = max(lo, j_lo)
-    last = min(hi, j_lo + b_star.size - 1)
-    if last < first:
-        return LocalBlock(m=m, rate=rate, offset=0, values=np.zeros(0))
-    vals = b_star[first - j_lo : last - j_lo + 1].copy()
-    return LocalBlock(m=m, rate=rate, offset=first, values=vals)
 
 
 def glue(
@@ -324,19 +304,15 @@ def build_poisson_approximation(
     delta: float = 1.0,
     c1: float = DEFAULT_APPROX_C1,
     c2: float = DEFAULT_APPROX_C2,
-    scheme: IntervalScheme | None = None,
 ) -> PoissonPolynomial:
     """Full construction for a 1-Lipschitz f on [0, 1].
 
     The function is shifted so its value at 0 rides on the exact constant
-    term, every local polynomial is built at rate n/2, blocks are truncated
-    to their outer count ranges, spliced, and the result is cut at
+    term, every local polynomial is built at rate n/2 on its outer count
+    range only, the blocks are spliced, and the result is cut at
     (1 + delta) n so the support bound holds by construction.
     """
-    if scheme is None:
-        scheme = build_scheme(n, c1, "approximation")
-    if scheme.variant != "approximation":
-        raise DomainError("needs the approximation-variant scheme")
+    scheme = build_scheme(n, c1, "approximation")
     degree = max(2, int(round(c2 * math.log(n))))
     f0 = float(f(0.0))
 
@@ -350,8 +326,8 @@ def build_poisson_approximation(
         lo, hi = float(scheme.tilde_left[i]), float(scheme.tilde_right[i])
         P = jackson_approx(g, lo, hi, degree, center=float(scheme.centers[i]), m=m)
         j_lo, j_hi = _outer_count_range(scheme, m, rate)
-        b_star = monomial_to_poisson(P, rate, j_lo, j_hi)
-        blocks.append(truncate_local(b_star, m, scheme, rate, j_lo))
+        values = monomial_to_poisson(P, rate, j_lo, j_hi)
+        blocks.append(LocalBlock(m=m, rate=rate, offset=j_lo, values=values))
 
     spliced = glue(blocks, n, scheme)
     cut = int(math.floor((1.0 + delta) * n + 1e-9))

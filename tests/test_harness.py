@@ -310,9 +310,20 @@ class TestCLIDeterminism:
             ({}, ["approx", "--f", "abs@x", "--n-list", "1024"], "kink"),
             ({}, ["approx", "--n-list", "10x"], "--n-list"),
             ({}, ["pml", "--profile", "a,b"], "comma list of integers"),
+            ({}, ["pml", "--profile", "0,0"], "is empty"),
+            ({}, ["pml", "--profile", "1,-1"], "negative multiplicity"),
+            ({}, ["pml", "--profile", '{"n": 2, "phi": {"3": 1}}'], "outside 1..2"),
+            ({}, ["pml", "--profile", '{"n": 2}'], "n and a phi map"),
+            ({}, ["pml", "--profile", '{"n": 0, "phi": {}}'], "n >= 1"),
+            ({}, ["pml", "--profile", "2,1", "--kmax", "0"], "k_max and grid_resolution"),
+            ({}, ["pml", "--profile", "2,1", "--resolution", "0"], "k_max and grid_resolution"),
+            ({}, ["benchmark", "--n", "1024", "--k", "20", "--trials", "1", "--delta", "0.5"],
+             "unrecognized arguments: --delta"),
+            ({}, ["competitive", "--n", "5", "--k", "3", "--seed", "3"], "unrecognized arguments: --seed"),
         ],
         ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing", "abs@x",
-             "n-list-10x", "profile-a,b"],
+             "n-list-10x", "profile-a,b", "profile-0,0", "profile-1,-1", "profile-index-3", "profile-no-phi",
+             "profile-n=0", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed"],
     )
     def test_malformed_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, files, args, message):
         monkeypatch.chdir(tmp_path)
@@ -332,6 +343,11 @@ class TestCLIDeterminism:
         sparse = json.dumps({"n": 5, "phi": {"1": 2, "3": 1}})
         assert run_cli(["pml", "--profile", sparse, "--kmax", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # trailing zero multiplicities are dropped
+        out3, out4 = tmp_path / "p3.json", tmp_path / "p4.json"
+        assert run_cli(["pml", "--profile", "1,0,0", "--out", str(out3)]) == 0
+        assert run_cli(["pml", "--profile", '{"n": 1, "phi": {"1": 1}}', "--out", str(out4)]) == 0
+        assert out3.read_bytes() == out4.read_bytes()
 
     def test_approx_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

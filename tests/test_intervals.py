@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -75,11 +74,6 @@ class TestBuildScheme:
             assert s.tilde_right[i] == pytest.approx(u * (m + 1 / 3) ** 2, rel=1e-13)
             assert s.cut_left[i] == pytest.approx(u * max(m - 2, 0) ** 2, rel=1e-13)
             assert s.cut_right[i] == pytest.approx(u * (m + 1) ** 2, rel=1e-13)
-
-    def test_json_dump(self):
-        s = build_scheme(1000)
-        payload = json.loads(s.to_json())
-        assert payload["n"] == 1000 and len(payload["left"]) == s.M
 
 
 class TestLocate:

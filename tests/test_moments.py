@@ -312,14 +312,6 @@ class TestEstimator:
                     cap = k * (2.0 * width) ** d * n**0.5
                     assert abs(tab.value(m, d)) <= cap
 
-    def test_csv_export(self):
-        s = build_scheme(10**3)
-        h = Histogram([10, 2])
-        tab = moment_table_estimate(h, s, 1)
-        text = tab.to_csv()
-        assert text.splitlines()[0] == "m,d,estimate,truth_if_known"
-        assert len(text.splitlines()) == 1 + s.M * 2
-
 
 def true_table_by_degree(p, s, depth):
     """The per-degree loop reference for moment_table_true."""

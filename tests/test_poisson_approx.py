@@ -17,7 +17,6 @@ from sortdist.poisson_approx import (
     jackson_approx,
     monomial_to_poisson,
     naive_coefficients,
-    truncate_local,
     verify_bounds,
 )
 
@@ -141,29 +140,23 @@ class TestBasisConversion:
 
 
 class TestTruncateAndGlue:
-    def test_truncate_inside_is_identity(self):
-        s = build_scheme(4096, 4.0, "approximation")
-        rate = 4096 / 2.0
-        i = 1
-        lo = int(math.ceil(s.cut_left[i] * rate)) + 5
-        vals = np.ones(10)
-        blk = truncate_local(vals, 2, s, rate, j_lo=lo)
-        assert blk.offset == lo and np.array_equal(blk.values, vals)
-
-    def test_truncate_empty(self):
-        s = build_scheme(4096, 4.0, "approximation")
-        blk = truncate_local(np.zeros(0), 1, s, 4096 / 2.0, 0)
-        assert blk.values.size == 0
+    @pytest.mark.parametrize("n", [2**10, 2**12])
+    def test_blocks_come_out_on_their_outer_ranges(self, n):
+        poly = build_poisson_approximation(lambda x: abs(x - 0.5), n)
+        assert len(poly.blocks) == poly.scheme.M
+        for blk in poly.blocks:
+            lo, hi = poisson_approx._outer_count_range(poly.scheme, blk.m, n / 2.0)
+            assert blk.offset == lo and blk.values.size == hi - lo + 1
 
     def test_truncation_error_small_on_inner_interval(self):
-        # constant block: zeroing coefficients outside the outer range moves
-        # the value on the inner interval by far less than 1e-4
+        # constant block: leaving out the coefficients outside the outer
+        # range moves the value on the inner interval by far less than 1e-4
         n = 10**4
         s = build_scheme(n, 4.0, "approximation")
         rate = n / 2.0
         const = 0.7
-        full = np.full(int(rate * s.cut_right[0]) + 3000, const)
-        blk = truncate_local(full, 1, s, rate, 0)
+        lo, hi = poisson_approx._outer_count_range(s, 1, rate)
+        blk = LocalBlock(m=1, rate=rate, offset=lo, values=np.full(hi - lo + 1, const))
         for x in np.linspace(s.tilde_left[0], s.tilde_right[0], 21):
             lam = rate * float(x)
             got = float(blk.values @ poisson_pmf(lam, np.arange(blk.offset, blk.offset + blk.values.size)))
