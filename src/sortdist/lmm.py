@@ -23,6 +23,8 @@ round of pivoting the interval polynomials price every grid point, and each
 interval's cheapest one joins the tableau.  The lexicographic optimum
 continues in the same tableau: once no column prices out on the objective,
 the row objective <= optimum is appended and the next moment is minimized.
+The constraint matrix is never filled: `LPInstance.A` cuts the columns the
+tableau asks for from each interval's grid and moment rows.
 """
 
 from __future__ import annotations
@@ -64,10 +66,73 @@ def _grid_count(length: float, k: int, depth: int) -> int:
     return max(int(np.clip(math.ceil(8.0 * k * length), MIN_GRID, MAX_GRID)), 2 * depth, 2)
 
 
+class GridColumns:
+    """The estimator LP's constraint matrix A, cut into columns on demand.
+
+    A weight column at grid point x of the mi-th included interval holds
+    k (x - c_m)^d / tl_m^d in the + row of each degree d, k in the +
+    cumulative row of every included interval at or before its own, 1 in the
+    mass row and x in the mean row; a slack column holds -1 in both rows of
+    its residual.  Each - row is the negated + row, so its other entries are
+    -0.0.  Apart from the degree rows and the mean row, a weight column
+    depends only on its interval, so one template column per interval and
+    per slack holds the rest, filled as the dense matrix would be.
+
+    `A[:, J]` equals columns J of that dense matrix, in the memory order of
+    such a slice (Fortran order), so every product downstream sees the same
+    operands.
+    """
+
+    def __init__(self, moments: np.ndarray, points: np.ndarray, ends: np.ndarray, depth: int, k: int):
+        self._moments = moments        # (D, n_w): the + degree rows on the weight columns
+        self._points = points          # (n_w,): every grid point, the mean row
+        n_int = ends.size
+        n_res = (depth + 1) * n_int
+        self.shape = (2 * n_res + 2, points.size + n_res)
+        # one past the last column of each template: the intervals' weight
+        # columns, then one slack each
+        self._ends = np.concatenate([ends, points.size + 1 + np.arange(n_res)])
+        # the + row of each degree d = 1..D of each interval
+        self._degree_rows = 2 * (depth + 1) * np.arange(n_int) + 2 * np.arange(depth)[:, None]
+        templates = np.zeros((self.shape[0], n_int + n_res), order="F")
+        pos = templates[0:2 * n_res:2]
+        mi = np.arange(n_int)
+        pos[mi * (depth + 1) + depth, :n_int] = np.where(mi[:, None] <= mi, float(k), 0.0)
+        np.negative(pos, out=templates[1:2 * n_res:2])
+        # within an interval the residuals run degree 1..D then cumulative,
+        # the slacks cumulative then degree 1..D
+        res = np.arange(n_res)
+        slack = n_int + res - res % (depth + 1) + (res + 1) % (depth + 1)
+        templates[2 * res, slack] = -1.0
+        templates[2 * res + 1, slack] = -1.0
+        templates[2 * n_res, :n_int] = 1.0
+        self._templates = templates
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self._moments, self._points, self._ends, self._degree_rows, self._templates))
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        if rows != slice(None):
+            raise IndexError("only whole columns A[:, J] are cut")
+        cols = np.asarray(cols)
+        template = np.searchsorted(self._ends, cols, side="right")
+        out = self._templates[:, template]
+        at = np.flatnonzero(cols < self._points.size)
+        j = cols[at]
+        rows = self._degree_rows[:, template[at]]
+        values = self._moments[:, j]
+        out[rows, at] = values
+        out[rows + 1, at] = -values
+        out[-1, at] = self._points[j]
+        return out
+
+
 @dataclass
 class LPInstance:
     c: np.ndarray
-    A: np.ndarray
+    A: GridColumns
     b: np.ndarray
     secondary: np.ndarray          # next-moment cost minimized over the optimal face
     grids: list[np.ndarray]        # grid locations per included interval
@@ -130,43 +195,33 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
     if not included:
         raise DomainError("no interval intersects [0, 1]")
 
-    n_w = sum(g.size for g in grids)
+    ends = np.cumsum([g.size for g in grids])
+    points = np.concatenate(grids)
+    grids = np.split(points, ends[:-1])
+    n_w = points.size
     n_res = (depth + 1) * len(included)   # one residual, and one slack, per (m, d)
-    A = np.zeros((2 * n_res + 2, n_w + n_res))
+    moments = np.zeros((depth, n_w))
     b = np.zeros(2 * n_res + 2)
     c = np.zeros(n_w + n_res)
     secondary = np.zeros(n_w + n_res)
-    pos, pos_b = A[0:2 * n_res:2], b[0:2 * n_res:2]
+    pos_b = b[0:2 * n_res:2]
 
     cum_targets = np.concatenate([np.cumsum(targets.values[::-1, 0])[::-1], [0.0]])
     power = depth + 1
-    start = 0
-    for mi, (m, xg) in enumerate(zip(included, grids)):
+    for mi, (m, xg, end) in enumerate(zip(included, grids, ends)):
         i = m - 1
         tl = float(scheme.tilde_len[i])
         offset = xg - scheme.centers[i]
-        cols = slice(start, start + xg.size)
+        cols = slice(end - xg.size, end)
         r = mi * (depth + 1)
         for d in range(1, depth + 1):
-            pos[r + d - 1, cols] = k * offset**d / tl**d
+            moments[d - 1, cols] = k * offset**d / tl**d
             pos_b[r + d - 1] = targets.value(m, d) / tl**d
-        pos[r + depth, start:n_w] = float(k)
         pos_b[r + depth] = float(cum_targets[i])
         c[n_w + r:n_w + r + depth + 1] = tl
         secondary[cols] = tl * k * offset**power / tl**power
-        start += xg.size
-    np.negative(pos, out=A[1:2 * n_res:2])
     np.negative(pos_b, out=b[1:2 * n_res:2])
-    # within an interval the residuals run degree 1..D then cumulative, the
-    # slacks cumulative then degree 1..D
-    res = np.arange(n_res)
-    slack = n_w + res - res % (depth + 1) + (res + 1) % (depth + 1)
-    A[2 * res, slack] = -1.0
-    A[2 * res + 1, slack] = -1.0
-
-    A[2 * n_res, :n_w] = 1.0
     b[2 * n_res] = 1.0
-    A[2 * n_res + 1, :n_w] = np.concatenate(grids)
     b[2 * n_res + 1] = 1.0 / k
 
     const = 0.0
@@ -174,7 +229,7 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
         const += float(scheme.tilde_len[m - 1]) * abs(float(cum_targets[m - 1]))
 
     return LPInstance(
-        c=c, A=A, b=b, secondary=secondary, grids=grids, m_included=included,
+        c=c, A=GridColumns(moments, points, ends, depth, k), b=b, secondary=secondary, grids=grids, m_included=included,
         n_weights=n_w, k=k, objective_const=const, targets=targets, scheme=scheme,
     )
 

@@ -143,7 +143,7 @@ def _run_phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
 
 def simplex_solve(
     c: np.ndarray,
-    A: np.ndarray,
+    A,
     b: np.ndarray,
     secondary: np.ndarray | None = None,
     start: np.ndarray | None = None,
@@ -151,6 +151,9 @@ def simplex_solve(
 ) -> SimplexResult:
     """Solve, then verify an optimal vertex against the original constraints;
     one that violates them is reported with status "degenerate".
+
+    `A` is read only through `A.shape` and the column cuts `A[:, J]`, so it
+    may be an ndarray or any object that offers those two.
 
     With `secondary`, the returned vertex minimizes secondary.x over the
     optimal face of min c.x; the pivots of both stages are counted.
@@ -162,7 +165,6 @@ def simplex_solve(
     short of optimal ends the solve with its status.
     """
     c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     cols = np.arange(n) if price is None else np.unique(start)
@@ -246,7 +248,7 @@ def simplex_solve(
     return SimplexResult(x, objective, status, pivots, violation, tuple(rounds), cols.size)
 
 
-def _violation(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+def _violation(A, b: np.ndarray, x: np.ndarray) -> float:
     """max(0, max_i (A x - b)_i), multiplying only the nonzero entries of x."""
     support = np.flatnonzero(x)
     return max(0.0, float((A[:, support] @ x[support] - b).max(initial=0.0)))

@@ -44,6 +44,11 @@ def expected_grid_count(length, k, depth):
     return max(min(max(math.ceil(8 * k * length), 32), 4096), 2 * depth, 2)
 
 
+def dense(lp):
+    """The full constraint matrix, cut from the LP's column source."""
+    return lp.A[:, np.arange(lp.A.shape[1])]
+
+
 def included_ranges(s):
     """(m, lo, hi) of every enlarged interval meeting [0, 1], clipped to it."""
     return [
@@ -102,13 +107,14 @@ class TestBuildLP:
             slack_cost.update({(m, d): tl for d in range(depth + 1)})
             secondary.append(tl * k * (g - c_m) ** (depth + 1) / tl ** (depth + 1))
 
-        slacks = lp.A[:, n_w:]
+        A = dense(lp)
+        slacks = A[:, n_w:]
         matched = []
         for j in range(slacks.shape[1]):
             rows = np.flatnonzero(slacks[:, j])
             assert slacks[rows, j].tolist() == [-1.0, -1.0]
             assert np.count_nonzero(slacks[rows]) == 2
-            pos, neg = lp.A[rows, :n_w] @ w - lp.b[rows]
+            pos, neg = A[rows, :n_w] @ w - lp.b[rows]
             assert neg == pytest.approx(-pos, rel=1e-12)
             key = min(residual, key=lambda key: abs(abs(residual[key]) - abs(pos)))
             assert abs(pos) == pytest.approx(abs(residual[key]), rel=1e-10)
@@ -117,8 +123,8 @@ class TestBuildLP:
         assert sorted(matched) == sorted(residual)
 
         mass, mean = np.flatnonzero(~slacks.any(axis=1))
-        assert np.all(lp.A[mass, :n_w] == 1.0) and lp.b[mass] == 1.0
-        assert np.array_equal(lp.A[mean, :n_w], np.concatenate(lp.grids)) and lp.b[mean] == 1.0 / k
+        assert np.all(A[mass, :n_w] == 1.0) and lp.b[mass] == 1.0
+        assert np.array_equal(A[mean, :n_w], np.concatenate(lp.grids)) and lp.b[mean] == 1.0 / k
         assert np.all(lp.c[:n_w] == 0.0)
         assert lp.secondary[:n_w] == pytest.approx(np.concatenate(secondary), rel=1e-12)
         assert np.all(lp.secondary[n_w:] == 0.0)
@@ -158,7 +164,7 @@ class TestColumnGeneration:
     def full_lp_measure(lp):
         """The lexicographic optimum of the full LP, by the plain two-stage
         simplex with every column in the tableau."""
-        full = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary)
+        full = simplex_solve(lp.c, dense(lp), lp.b, secondary=lp.secondary)
         w = full.x[:lp.n_weights]
         keep = w > _WEIGHT_EPS
         return full, AtomicMeasure(np.concatenate(lp.grids)[keep], w[keep])
@@ -184,12 +190,13 @@ class TestColumnGeneration:
         _, price = lmm._grid_column_generation(lp)
         sizes = np.array([g.size for g in lp.grids])
         ends = np.cumsum(sizes)
+        A = dense(lp)
         for _ in range(5):
             # reduced costs of order 1e-6, so any error in a term of the
             # polynomial moves the argmin
             y = rng.normal(size=lp.b.size)
-            cost = y @ lp.A + 1e-6 * rng.normal(size=lp.c.size)
-            red = cost - y @ lp.A
+            cost = y @ A + 1e-6 * rng.normal(size=lp.c.size)
+            red = cost - y @ A
             best = [first + int(np.argmin(red[first:end])) for first, end in zip(ends - sizes, ends)]
             assert price(y, cost).tolist() == best
 
@@ -250,10 +257,10 @@ class TestColumnGeneration:
         lp = estimator_lp(family, 7, 1, n=n, k=k)
         diag = solve_lp(lp).diagnostics
         assert len(solved) == 1 and diag["status"] == "optimal"
-        dense = max(0.0, float((lp.A @ solved[-1].x - lp.b).max()))
+        full = max(0.0, float((dense(lp) @ solved[-1].x - lp.b).max()))
         assert 0.0 <= diag["violation"] <= 1e-9
         # the support-only product sums in another order than the dense one
-        assert diag["violation"] == pytest.approx(dense, rel=0.0, abs=1e-14 * np.abs(lp.b).max())
+        assert diag["violation"] == pytest.approx(full, rel=0.0, abs=1e-14 * np.abs(lp.b).max())
 
     @pytest.mark.parametrize("seed,trial", [(77, 25), (101, 3), (101, 8)])
     def test_warm_tableau_does_not_drift(self, seed, trial):
@@ -273,19 +280,97 @@ class TestColumnGeneration:
         # the tableau is scaled by its start columns, so they must give the
         # full LP's row scaling
         if size == "desk":
-            # the competitive check's LP at n = 8, k = 4, c1 = 1, c2 = 1
-            s = build_scheme(8, 1.0, "estimator")
-            targets = moment_table_estimate(Histogram([5, 2, 1, 0]), s, degree_for(s.n, 1.0), clamped=True)
-            lp = build_lp(targets, s, 4)
+            lp = desk_lp()
             assert lp.A.shape == (20, 105)
         else:
             n, k = (1024, 200) if size == "n1024" else (10_000, 5000)
             lp = estimator_lp("zipf:1", 7, 0, n=n, k=k)
         start, _ = lmm._grid_column_generation(lp)
         assert start.size < lp.c.size
-        largest = np.abs(lp.A).max(axis=1)
+        A = dense(lp)
+        largest = np.abs(A).max(axis=1)
         assert np.all(largest > 0.0)
-        assert np.array_equal(np.abs(lp.A[:, start]).max(axis=1), largest)
+        assert np.array_equal(np.abs(A[:, start]).max(axis=1), largest)
+
+
+def dense_fill(lp):
+    """The constraint matrix filled densely, entry by entry as `build_lp`
+    filled it before its columns were cut on demand."""
+    s, k, depth = lp.scheme, lp.k, lp.targets.depth
+    n_w = lp.n_weights
+    n_res = (depth + 1) * len(lp.m_included)
+    A = np.zeros((2 * n_res + 2, n_w + n_res))
+    pos = A[0:2 * n_res:2]
+    start = 0
+    for mi, (m, xg) in enumerate(zip(lp.m_included, lp.grids)):
+        i = m - 1
+        tl = float(s.tilde_len[i])
+        offset = xg - s.centers[i]
+        cols = slice(start, start + xg.size)
+        r = mi * (depth + 1)
+        for d in range(1, depth + 1):
+            pos[r + d - 1, cols] = k * offset**d / tl**d
+        pos[r + depth, start:n_w] = float(k)
+        start += xg.size
+    np.negative(pos, out=A[1:2 * n_res:2])
+    res = np.arange(n_res)
+    slack = n_w + res - res % (depth + 1) + (res + 1) % (depth + 1)
+    A[2 * res, slack] = -1.0
+    A[2 * res + 1, slack] = -1.0
+    A[2 * n_res, :n_w] = 1.0
+    A[2 * n_res + 1, :n_w] = np.concatenate(lp.grids)
+    return A
+
+
+def desk_lp():
+    """The competitive check's LP at n = 8, k = 4, c1 = 1, c2 = 1."""
+    s = build_scheme(8, 1.0, "estimator")
+    targets = moment_table_estimate(Histogram([5, 2, 1, 0]), s, degree_for(s.n, 1.0), clamped=True)
+    return build_lp(targets, s, 4)
+
+
+class TestColumnCuts:
+    """`lp.A[:, J]` is columns J of the dense fill, bit for bit and in the
+    same memory order, so the solve sees the operands it saw on the dense
+    matrix."""
+
+    @pytest.mark.parametrize(
+        "size", ["uniform", "two-level", "zipf:1", "n1e3-capped", "desk"],
+    )
+    def test_cut_equals_dense_fill(self, size):
+        if size == "desk":
+            lp = desk_lp()
+        elif size == "n1e3-capped":
+            # k = 2000 at n = 1e3 puts 4096 points, the cap, on two intervals
+            s = build_scheme(10**3)
+            lp = build_lp(MomentTable(np.random.default_rng(3).normal(size=(s.M, 3))), s, 2000)
+            assert [g.size for g in lp.grids] == [4096, 4096, 1784]
+        else:
+            lp = estimator_lp(size, 101, 0)
+        full = dense_fill(lp)
+        assert lp.A.shape == full.shape
+        rng = np.random.default_rng(17)
+        n_w, n = lp.n_weights, full.shape[1]
+        ends = np.cumsum([g.size for g in lp.grids])
+        # one column of every interval, some slacks, some of anything, in
+        # random order; then every column, an empty cut and single columns
+        every_interval = [int(rng.integers(end - g.size, end)) for end, g in zip(ends, lp.grids)]
+        mixed = np.concatenate([every_interval, rng.choice(np.arange(n_w, n), 3), rng.choice(n, 20)])
+        cuts = [rng.permutation(mixed) for _ in range(5)]
+        cuts += [np.arange(n), np.array([], dtype=np.int64), np.array([0]), np.array([n - 1])]
+        for J in cuts:
+            got, want = lp.A[:, J], full[:, J]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.strides == want.strides
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    def test_holds_a_fraction_of_the_dense_matrix(self):
+        lp = estimator_lp("zipf:1", 101, 0)
+        assert lp.A.nbytes * 10 < dense_fill(lp).nbytes
+
+    def test_rows_are_not_cut(self):
+        with pytest.raises(IndexError):
+            desk_lp().A[0, :]
 
 
 class TestSingleAtomRecovery:

@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from sortdist import simplex
 from sortdist.harness import make_distribution
 from sortdist.intervals import DEFAULT_C1, build_scheme
-from sortdist.lmm import build_lp
+from sortdist.lmm import _grid_column_generation, build_lp
 from sortdist.moments import DEFAULT_C2, degree_for, moment_table_estimate
 from sortdist.sampling import sample_poissonized, substream
 from sortdist.simplex import simplex_solve
@@ -27,6 +27,11 @@ def random_lp(seed):
     A = np.vstack([A, np.ones(n)])
     b = np.append(b, x0.sum() + 1.0)
     return rng.normal(size=n), A, b
+
+
+def dense(lp):
+    """The full constraint matrix, cut from the LP's column source."""
+    return lp.A[:, np.arange(lp.A.shape[1])]
 
 
 class TestAgainstHighs:
@@ -161,14 +166,15 @@ def test_estimator_lp_secondary_matches_highs_lexicographic():
     h = sample_poissonized(make_distribution("uniform", k), n, substream(77, 25))
     targets = moment_table_estimate(h, scheme, depth, clamped=True)
     lp = build_lp(targets, scheme, k)
+    A = dense(lp)
     secondary = lp.secondary
-    plain = simplex_solve(lp.c, lp.A, lp.b)
-    res = simplex_solve(lp.c, lp.A, lp.b, secondary=secondary)
+    plain = simplex_solve(lp.c, A, lp.b)
+    res = simplex_solve(lp.c, A, lp.b, secondary=secondary)
     assert res.status == "optimal"
     assert abs(res.objective) <= 1e-12 and abs(plain.objective) <= 1e-12
-    first = linprog(lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs")
+    first = linprog(lp.c, A_ub=A, b_ub=lp.b, bounds=(0, None), method="highs")
     assert first.status == 0
-    face_A = np.vstack([lp.A, lp.c])
+    face_A = np.vstack([A, lp.c])
     face_b = np.append(lp.b, first.fun)
     ref = linprog(secondary, A_ub=face_A, b_ub=face_b, bounds=(0, None), method="highs")
     assert ref.status == 0
@@ -262,6 +268,51 @@ def test_estimator_lp_vertex_is_pinned(family):
     h = sample_poissonized(make_distribution(family, k), n, substream(7, 0))
     targets = moment_table_estimate(h, scheme, depth, clamped=True)
     lp = build_lp(targets, scheme, k)
-    res = simplex_solve(lp.c, lp.A, lp.b)
+    res = simplex_solve(lp.c, dense(lp), lp.b)
     assert res.status == "optimal"
     assert (res.pivots, np.flatnonzero(res.x > 1e-11).tolist()) == PINNED_VERTICES[family]
+
+
+class ColumnsOnly:
+    """A constraint matrix offering only `.shape` and column cuts `A[:, J]`."""
+
+    def __init__(self, A):
+        self.shape = A.shape
+        self._A = A
+
+    def __getitem__(self, key):
+        rows, cols = key
+        assert rows == slice(None)
+        return self._A[:, cols]
+
+
+def same_result(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.objective, got.status, got.pivots, got.violation, got.rounds, got.columns) == (
+        want.objective, want.status, want.pivots, want.violation, want.rounds, want.columns,
+    )
+
+
+class TestColumnsOnly:
+    """`simplex_solve` reads A through `.shape` and `A[:, J]` alone."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_solve(self, seed):
+        c, A, b = random_lp(seed)
+        same_result(simplex_solve(c, ColumnsOnly(A), b), simplex_solve(c, A, b))
+
+    @pytest.mark.parametrize("family", ["uniform", "zipf:1"])
+    def test_column_generation_with_secondary(self, family):
+        n, k = 10_000, 5000
+        scheme = build_scheme(n, DEFAULT_C1, "estimator")
+        h = sample_poissonized(make_distribution(family, k), n, substream(101, 1))
+        lp = build_lp(moment_table_estimate(h, scheme, degree_for(n, DEFAULT_C2), clamped=True), scheme, k)
+        start, price = _grid_column_generation(lp)
+        A = dense(lp)
+        runs = [
+            simplex_solve(lp.c, a, lp.b, secondary=lp.secondary, start=start, price=price)
+            for a in (ColumnsOnly(A), A, lp.A)
+        ]
+        assert runs[0].status == "optimal"
+        same_result(runs[0], runs[1])
+        same_result(runs[2], runs[1])
