@@ -160,31 +160,38 @@ def moment_table_estimate(
     depth: int,
     clamped: bool = True,
 ) -> MomentTable:
-    """All estimated moments (m in 1..M, d in 0..depth) in one histogram pass.
+    """All estimated moments (m in 1..M, d in 0..depth) in one pass per interval.
 
-    Work is grouped by distinct positive count value; a symbol with count v
-    can only land in intervals whose half-sample range intersects [0, v].
+    For every symbol, a Binomial(h_j, 1/2) split plays the role of an
+    independent half sample: the landing half s selects the interval and the
+    kernel is evaluated on the leftover half h_j - s.  With `clamped`, the
+    kernel is the cutoff version (the estimator actually deployed); without,
+    the raw kernel, whose expectation is exactly the true smoothed moment.
+
+    Symbols are grouped by distinct positive count v.  Interval m gathers
+    every pair (v, s) with s in its half-sample range and s <= v, and sums the
+    kernels at (v - s)/(n/2) weighted by (symbols with count v) * P(s | v).
     """
     if depth > D_MAX:
         raise DomainError(f"degree capped at {D_MAX}")
     n = scheme.n
-    M = scheme.M
-    values = np.zeros((M, depth + 1))
-    ranges = [scheme.half_range(m) for m in range(1, M + 1)]
+    values = np.zeros((scheme.M, depth + 1))
     dist_vals, dist_counts = _distinct_counts(h)
-    for v, cnt in zip(dist_vals, dist_counts):
-        v = int(v)
-        for i, (lo, hi) in enumerate(ranges):
-            lo_v, hi_v = max(lo, 0), min(hi, v)
-            if hi_v < lo_v:
-                continue
-            s = np.arange(lo_v, hi_v + 1)
-            pmf = np.exp(binom_half_logpmf(v, s))
-            z = (v - s) / (n / 2.0)
-            if clamped:
-                z = np.clip(z, scheme.cut_left[i], scheme.cut_right[i])
-            fam = g_family(depth, float(scheme.centers[i]), z, n)
-            values[i] += cnt * (fam @ pmf)
+    for i in range(scheme.M):
+        lo, hi = scheme.half_range(i + 1)
+        lo = max(lo, 0)
+        first = int(np.searchsorted(dist_vals, lo))
+        if hi < lo or first == dist_vals.size:
+            continue
+        # the counts v >= lo, each repeated once per s in lo..min(hi, v)
+        width = np.minimum(dist_vals[first:], hi) - lo + 1
+        v = np.repeat(dist_vals[first:], width)
+        s = np.arange(v.size) - np.repeat(np.cumsum(width) - width, width) + lo
+        weight = np.repeat(dist_counts[first:], width) * np.exp(binom_half_logpmf(v, s))
+        z = (v - s) / (n / 2.0)
+        if clamped:
+            z = np.clip(z, scheme.cut_left[i], scheme.cut_right[i])
+        values[i] = g_family(depth, float(scheme.centers[i]), z, n) @ weight
     return MomentTable(values)
 
 

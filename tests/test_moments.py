@@ -1,13 +1,22 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sortdist.core import DiscreteDistribution, Histogram, binomial_pmf, poisson_interval_prob, poisson_pmf
+from sortdist.core import (
+    DiscreteDistribution,
+    Histogram,
+    binom_half_logpmf,
+    binomial_pmf,
+    poisson_interval_prob,
+    poisson_pmf,
+)
 from sortdist.harness import make_distribution
-from sortdist.intervals import build_scheme
+from sortdist.intervals import DEFAULT_C1, build_scheme
 from sortdist.moments import (
+    DEFAULT_C2,
     degree_for,
     effective_support,
     g_eval,
@@ -18,6 +27,7 @@ from sortdist.moments import (
     smoothed_moment_estimate,
     smoothed_moment_true,
 )
+from sortdist.sampling import sample_poissonized, substream
 
 
 def g_exact_fraction(d, center, x, n):
@@ -339,3 +349,65 @@ def test_true_table_bytes_match_per_degree_loop(family, depth):
             assert effective_support(p, m, s) == want[m - 1, 0]
             for d in range(depth + 1):
                 assert smoothed_moment_true(p, m, d, s) == want[m - 1, d]
+
+
+def table_by_count_and_interval(h, s, depth, clamped):
+    """The per-(distinct count, interval) loop reference for
+    moment_table_estimate: one kernel family per pair."""
+    values = np.zeros((s.M, depth + 1))
+    dist_vals, dist_counts = np.unique(h.counts[h.counts > 0], return_counts=True)
+    for v, cnt in zip(dist_vals.tolist(), dist_counts.tolist()):
+        for i in range(s.M):
+            lo, hi = s.half_range(i + 1)
+            ss = np.arange(max(lo, 0), min(hi, v) + 1)
+            if not ss.size:
+                continue
+            pmf = np.exp(binom_half_logpmf(v, ss))
+            z = (v - ss) / (s.n / 2.0)
+            if clamped:
+                z = np.clip(z, s.cut_left[i], s.cut_right[i])
+            values[i] += cnt * (g_family(depth, float(s.centers[i]), z, s.n) @ pmf)
+    return values
+
+
+def assert_table_matches_pair_loop(h, s, depth):
+    for clamped in (True, False):
+        got = moment_table_estimate(h, s, depth, clamped=clamped).values
+        want = table_by_count_and_interval(h, s, depth, clamped)
+        # the interval's sum regroups the pair loop's, so bits may move
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+
+class TestTableByInterval:
+    @pytest.mark.parametrize("family", ["uniform", "two-level", "zipf:1"])
+    def test_estimator_trials(self, family):
+        n, k = 10_000, 5000
+        s = build_scheme(n, DEFAULT_C1, "estimator")
+        h = sample_poissonized(make_distribution(family, k), n, substream(101, 0))
+        assert_table_matches_pair_loop(h, s, degree_for(n, DEFAULT_C2))
+
+    def test_every_desk_histogram(self):
+        # the competitive check's scheme at n = 8, c1 = 1, c2 = 1, over every
+        # sorted histogram of 8 draws on 4 symbols
+        s = build_scheme(8, 1.0, "estimator")
+        hists = [
+            h for h in itertools.product(range(9), repeat=4)
+            if sum(h) == 8 and list(h) == sorted(h, reverse=True)
+        ]
+        assert len(hists) == 15
+        for h in hists:
+            assert_table_matches_pair_loop(Histogram(list(h)), s, degree_for(s.n, 1.0))
+
+    def test_counts_that_miss_intervals(self):
+        # counts of at most 3 reach only the intervals whose half range
+        # starts at 3 or below; the rest stay zero
+        s = build_scheme(10**4)
+        h = Histogram([3, 1, 1, 0, 2])
+        assert_table_matches_pair_loop(h, s, 3)
+        tab = moment_table_estimate(h, s, 3).values
+        reached = [s.half_range(m)[0] <= 3 for m in range(1, s.M + 1)]
+        assert 0 < sum(reached) < s.M
+        assert np.all(tab[~np.array(reached)] == 0.0)
+        assert np.all(tab[np.array(reached), 0] > 0.0)
+        assert np.all(moment_table_estimate(Histogram([0, 0]), s, 3).values == 0.0)
