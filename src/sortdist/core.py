@@ -139,10 +139,13 @@ class Profile:
     def from_sparse_json(text: str) -> "Profile":
         try:
             obj = json.loads(text)
-            n = int(obj["n"])
-            entries = [(int(key), int(val)) for key, val in obj["phi"].items()]
+            n = obj["n"]
+            entries = [(int(key), val) for key, val in obj["phi"].items()]
         except (AttributeError, KeyError, TypeError, ValueError):
             raise DomainError(f"profile {text!r} is not JSON with an n and a phi map") from None
+        # int() would truncate 1.9 to 1; bool is an int subclass
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in [n, *(c for _, c in entries)]):
+            raise DomainError(f"profile {text!r}: n and the phi values must be JSON integers")
         if n < 1:
             raise DomainError("a profile needs n >= 1")
         phi = np.zeros(n, dtype=np.int64)

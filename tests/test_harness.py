@@ -315,6 +315,9 @@ class TestCLIDeterminism:
             ({}, ["pml", "--profile", '{"n": 2, "phi": {"3": 1}}'], "outside 1..2"),
             ({}, ["pml", "--profile", '{"n": 2}'], "n and a phi map"),
             ({}, ["pml", "--profile", '{"n": 0, "phi": {}}'], "n >= 1"),
+            ({}, ["pml", "--profile", '{"n": 1.9, "phi": {"1": 1.2}}'], "must be JSON integers"),
+            ({}, ["pml", "--profile", '{"n": 2, "phi": {"1": 2.0}}'], "must be JSON integers"),
+            ({}, ["pml", "--profile", '{"n": true, "phi": {"1": 1}}'], "must be JSON integers"),
             ({}, ["pml", "--profile", "2,1", "--kmax", "0"], "k_max and grid_resolution"),
             ({}, ["pml", "--profile", "2,1", "--resolution", "0"], "k_max and grid_resolution"),
             ({}, ["benchmark", "--n", "1024", "--k", "20", "--trials", "1", "--delta", "0.5"],
@@ -323,7 +326,7 @@ class TestCLIDeterminism:
         ],
         ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing", "abs@x",
              "n-list-10x", "profile-a,b", "profile-0,0", "profile-1,-1", "profile-index-3", "profile-no-phi",
-             "profile-n=0", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed"],
+             "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed"],
     )
     def test_malformed_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, files, args, message):
         monkeypatch.chdir(tmp_path)
