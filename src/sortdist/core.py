@@ -33,7 +33,6 @@ __all__ = [
     "poisson_pmf",
     "binomial_pmf",
     "poisson_interval_prob",
-    "poisson_tail",
 ]
 
 _MASS_TOL = 1e-12
@@ -458,19 +457,3 @@ def poisson_interval_prob(lam, lo: int, hi: int):
         out = out - gammaincc(float(lo), lam_arr)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(lam) else out
-
-
-def poisson_tail(lam: float, delta: float) -> tuple[float, float]:
-    """Chernoff bounds for the two Poisson tails at relative deviation delta.
-
-    Returns (upper, lower): exp(-(delta^2 ^ delta) lam / 3) bounding
-    P(X >= (1+delta) lam) and exp(-delta^2 lam / 2) bounding
-    P(X <= (1-delta) lam).
-    """
-    if delta <= 0:
-        raise DomainError("delta must be > 0")
-    if lam < 0:
-        raise DomainError("rate must be >= 0")
-    upper = math.exp(-(min(delta * delta, delta)) * lam / 3.0)
-    lower = math.exp(-(delta * delta) * lam / 2.0)
-    return upper, lower

@@ -29,8 +29,6 @@ __all__ = [
     "g_family",
     "g_tilde_eval",
     "smoothed_moment_true",
-    "smoothed_moment_estimate",
-    "effective_support",
     "half_sample_landing_prob",
     "moment_table_estimate",
     "moment_table_true",
@@ -125,33 +123,9 @@ def smoothed_moment_true(p: DiscreteDistribution, m: int, d: int, scheme: Interv
     return float(_true_moments(p, scheme, m, d)[d])
 
 
-def effective_support(p: DiscreteDistribution, m: int, scheme: IntervalScheme) -> float:
-    """Expected number of symbols whose half-sample count lands in the interval."""
-    return float(_true_moments(p, scheme, m, 0)[0])
-
-
 def _distinct_counts(h: Histogram):
     values, counts = np.unique(h.counts[h.counts > 0], return_counts=True)
     return values.astype(np.int64), counts.astype(np.int64)
-
-
-def smoothed_moment_estimate(
-    h: Histogram,
-    m: int,
-    d: int,
-    scheme: IntervalScheme,
-    clamped: bool = True,
-) -> float:
-    """Unbiased estimator of the smoothed moment from the histogram alone.
-
-    For every symbol, a Binomial(h_j, 1/2) split plays the role of an
-    independent half sample: the landing half selects the interval and the
-    kernel is evaluated on the leftover half.  With `clamped`, the kernel is
-    the cutoff version (the estimator actually deployed); without, the raw
-    kernel, whose expectation is exactly the true smoothed moment.  Reads
-    entry (m, d) of `moment_table_estimate`.
-    """
-    return float(moment_table_estimate(h, scheme, depth=d, clamped=clamped).values[scheme.index(m), d])
 
 
 def moment_table_estimate(

@@ -33,7 +33,6 @@ __all__ = [
     "monomial_to_poisson",
     "glue",
     "evaluate",
-    "evaluate_blocked",
     "verify_bounds",
     "naive_coefficients",
     "build_poisson_approximation",
@@ -80,10 +79,6 @@ class LocalBlock:
     rate: float
     offset: int
     values: np.ndarray
-
-    def evaluate(self, x: float) -> float:
-        j = np.arange(self.offset, self.offset + self.values.size)
-        return float(self.values @ poisson_pmf(self.rate * x, j))
 
 
 @dataclass(frozen=True)
@@ -264,30 +259,6 @@ def evaluate(poly: PoissonPolynomial, x: float) -> float:
         return 0.0
     j = np.arange(lo, hi + 1)
     return float(poly.coeffs[lo : hi + 1] @ poisson_pmf(lam, j))
-
-
-def evaluate_blocked(poly: PoissonPolynomial, x: float) -> float:
-    """Identity route: half-rate interval weights times local block values."""
-    if not poly.blocks or poly.scheme is None:
-        raise DomainError("polynomial carries no block decomposition")
-    scheme = poly.scheme
-    rate = poly.n / 2.0
-    lam = rate * x
-    total = 0.0
-    for blk in poly.blocks:
-        k_lo, k_hi = scheme.half_range(blk.m)
-        if k_hi < max(k_lo, 0):
-            continue
-        ks = np.arange(max(k_lo, 0), k_hi + 1)
-        weight = float(poisson_pmf(lam, ks).sum())
-        if weight == 0.0 or blk.values.size == 0:
-            continue
-        total += weight * blk.evaluate(x)
-    cut = poly.coeffs.size - 1
-    lam_full = poly.n * x
-    jmax = min(cut, int(lam_full + 40.0 * math.sqrt(lam_full + 1.0) + 40.0))
-    f0_weight = float(poisson_pmf(lam_full, np.arange(0, jmax + 1)).sum()) if poly.f0 else 0.0
-    return total + poly.f0 * f0_weight
 
 
 def naive_coefficients(f: Callable[[float], float], n: int, delta: float = 1.0) -> PoissonPolynomial:

