@@ -4,9 +4,11 @@
 
 The package is imported from the `--src` directory, so the same command
 times two source trees.  Each trial samples family on substream(seed, t),
-builds the LP once, and times one `solve_lp` call.  Prints one JSON object:
-the LP shape, the per-trial times and their median, and per trial the
-objective, status, atom count, pivots, pricing rounds per stage and the
+then times one moment table, one `build_lp` and one `solve_lp` call.
+Prints one JSON object: the LP shape, the per-trial solve times and their
+median, and per trial the moment-table and build times, the bytes the LP's
+constraint matrix holds (`lp.A.nbytes`), the process's peak RSS so far, and
+the objective, status, atom count, pivots, pricing rounds per stage and the
 constraint violation from the estimate's diagnostics.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -43,11 +46,19 @@ def main(argv: list[str] | None = None) -> int:
     times, trials = [], []
     for t in range(args.trials):
         h = sample_poissonized(p, args.n, substream(args.seed, t))
-        lp = build_lp(moment_table_estimate(h, scheme, depth, clamped=True), scheme, args.k)
         start = time.perf_counter()
+        targets = moment_table_estimate(h, scheme, depth, clamped=True)
+        built = time.perf_counter()
+        lp = build_lp(targets, scheme, args.k)
+        solved = time.perf_counter()
         res = solve_lp(lp)
-        times.append(time.perf_counter() - start)
+        times.append(time.perf_counter() - solved)
         trials.append({
+            "moment_table_s": built - start,
+            "build_lp_s": solved - built,
+            "lp_bytes": int(lp.A.nbytes),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "objective": res.objective_value,
             "status": res.solver_status,
             "atoms": int(res.measure.locations.size),
