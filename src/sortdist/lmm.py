@@ -229,8 +229,8 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
         const += float(scheme.tilde_len[m - 1]) * abs(float(cum_targets[m - 1]))
 
     return LPInstance(
-        c=c, A=GridColumns(moments, points, ends, depth, k), b=b, secondary=secondary, grids=grids, m_included=included,
-        n_weights=n_w, k=k, objective_const=const, targets=targets, scheme=scheme,
+        c=c, A=GridColumns(moments, points, ends, depth, k), b=b, secondary=secondary, grids=grids,
+        m_included=included, n_weights=n_w, k=k, objective_const=const, targets=targets, scheme=scheme,
     )
 
 
