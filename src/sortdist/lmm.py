@@ -15,16 +15,16 @@ the lower principal representation of the matched moments instead of
 whichever vertex the pivoting path happens to reach; any minimizer of the
 objective carries the estimator's guarantee, so a fixed one keeps it.
 
-The LP is solved by column generation over its grid: the simplex tableau
-starts from every slack column and both end points of each interval's grid,
-which hold every row's largest entry and so fix the row scaling.  A grid
-column's reduced cost is a polynomial in its atom location, so after each
-round of pivoting the interval polynomials price every grid point, and each
+The LP is solved by column generation over its grid.  The constraint
+matrix is never filled: `LPInstance.A` cuts the columns the tableau asks for
+from each interval's grid and moment rows, and it also names the start
+columns and prices the rest.  The simplex tableau starts from every slack
+column and both end points of each interval's grid, which hold every row's
+largest entry and so fix the row scaling.  After each round of pivoting
+every grid column gets its exact reduced cost from the same rows, and each
 interval's cheapest one joins the tableau.  The lexicographic optimum
 continues in the same tableau: once no column prices out on the objective,
 the row objective <= optimum is appended and the next moment is minimized.
-The constraint matrix is never filled: `LPInstance.A` cuts the columns the
-tableau asks for from each interval's grid and moment rows.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def _grid_count(length: float, k: int, depth: int) -> int:
 
 
 class GridColumns:
-    """The estimator LP's constraint matrix A, cut into columns on demand.
+    """The estimator LP's constraint matrix A, cut into columns on demand,
+    with the start columns and the pricing oracle of its column generation.
 
     A weight column at grid point x of the mi-th included interval holds
     k (x - c_m)^d / tl_m^d in the + row of each degree d, k in the +
@@ -80,18 +81,21 @@ class GridColumns:
 
     `A[:, J]` equals columns J of that dense matrix, in the memory order of
     such a slice (Fortran order), so every product downstream sees the same
-    operands.
+    operands.  `start` holds every slack and both end points of each grid:
+    the zero measure is feasible there, and the end points hold every row's
+    largest |entry|, so the start columns give the full LP's row scaling.
     """
 
     def __init__(self, moments: np.ndarray, points: np.ndarray, ends: np.ndarray, depth: int, k: int):
         self._moments = moments        # (D, n_w): the + degree rows on the weight columns
-        self._points = points          # (n_w,): every grid point, the mean row
+        self.points = points           # (n_w,): every grid point, the mean row
         n_int = ends.size
         n_res = (depth + 1) * n_int
         self.shape = (2 * n_res + 2, points.size + n_res)
         # one past the last column of each template: the intervals' weight
         # columns, then one slack each
         self._ends = np.concatenate([ends, points.size + 1 + np.arange(n_res)])
+        self.start = np.concatenate([[0], ends[:-1], ends - 1, np.arange(points.size, self.shape[1])])
         # the + row of each degree d = 1..D of each interval
         self._degree_rows = 2 * (depth + 1) * np.arange(n_int) + 2 * np.arange(depth)[:, None]
         templates = np.zeros((self.shape[0], n_int + n_res), order="F")
@@ -110,7 +114,8 @@ class GridColumns:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self._moments, self._points, self._ends, self._degree_rows, self._templates))
+        held = (self._moments, self.points, self._ends, self.start, self._degree_rows, self._templates)
+        return sum(a.nbytes for a in held)
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key
@@ -119,14 +124,33 @@ class GridColumns:
         cols = np.asarray(cols)
         template = np.searchsorted(self._ends, cols, side="right")
         out = self._templates[:, template]
-        at = np.flatnonzero(cols < self._points.size)
+        at = np.flatnonzero(cols < self.points.size)
         j = cols[at]
         rows = self._degree_rows[:, template[at]]
         values = self._moments[:, j]
         out[rows, at] = values
         out[rows + 1, at] = -values
-        out[-1, at] = self._points[j]
+        out[-1, at] = self.points[j]
         return out
+
+    def price(self, y: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        """Each interval's grid column of least reduced cost cost_j - y.A_j.
+
+        On the mi-th interval y.A_j is the interval's degree-row duals
+        (y+ - y-) times the column's degree rows, plus y_mean x_j, plus y
+        times the interval's template column.
+        """
+        n_int = self._degree_rows.shape[1]
+        net = y[self._degree_rows] - y[self._degree_rows + 1]
+        fixed = y @ self._templates[:, :n_int]
+        y_mean = y[-1]
+        best = np.empty(n_int, dtype=np.int64)
+        first = 0
+        for mi, end in enumerate(self._ends[:n_int]):
+            dot = net[:, mi] @ self._moments[:, first:end] + y_mean * self.points[first:end] + fixed[mi]
+            best[mi] = first + int(np.argmin(cost[first:end] - dot))
+            first = end
+        return best
 
 
 @dataclass
@@ -234,54 +258,13 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
     )
 
 
-def _grid_column_generation(lp: LPInstance):
-    """The start columns and the pricing oracle for `simplex_solve`.
-
-    The tableau starts from every slack and both end points of each grid:
-    the zero measure is feasible, and the end points hold every row's largest
-    |entry|, so the start columns give the full LP's row scaling.  The oracle
-    returns each interval's grid column of least reduced cost, read from the
-    interval polynomials: against row duals y, a weight at x = c_m + tl_m u
-    in the mi-th included interval has y.A_j = sum_d k u^d (y+ - y-)[m, d] +
-    y_mean tl_m u plus terms constant on the interval (its cumulative rows,
-    the mass row and y_mean c_m).  Those do not move the interval's argmin,
-    so they are left out; `simplex_solve` checks each candidate's exact
-    reduced cost.
-    """
-    depth, k = lp.targets.depth, lp.k
-    n_res = (depth + 1) * len(lp.m_included)
-    sizes = np.array([g.size for g in lp.grids])
-    ends = np.cumsum(sizes)
-    start = np.concatenate([ends - sizes, ends - 1, np.arange(lp.n_weights, lp.c.size)])
-    included = np.array(lp.m_included) - 1
-    lengths = lp.scheme.tilde_len[included]
-    powers = [
-        np.vander((g - c_m) / tl, depth + 1, increasing=True)[:, 1:]
-        for g, c_m, tl in zip(lp.grids, lp.scheme.centers[included], lengths)
-    ]
-
-    def price(y: np.ndarray, cost: np.ndarray) -> np.ndarray:
-        net = k * (y[0:2 * n_res:2] - y[1:2 * n_res:2]).reshape(-1, depth + 1)
-        y_mean = y[2 * n_res + 1]
-        best = np.empty(len(powers), dtype=np.int64)
-        for mi, (end, vander) in enumerate(zip(ends, powers)):
-            coef = net[mi, :depth].copy()
-            coef[0] += y_mean * lengths[mi]
-            first = end - vander.shape[0]
-            best[mi] = first + int(np.argmin(cost[first:end] - vander @ coef))
-        return best
-
-    return start, price
-
-
 def solve_lp(lp: LPInstance) -> EstimateResult:
     """Solve to the optimal vertex of least next moment (the module docstring
     says which); returns the measure before zero-completion."""
-    start, price = _grid_column_generation(lp)
-    res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary, start=start, price=price)
+    res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary, start=lp.A.start, price=lp.A.price)
     w = res.x[:lp.n_weights]
     keep = w > _WEIGHT_EPS
-    measure = AtomicMeasure(np.concatenate(lp.grids)[keep], w[keep])
+    measure = AtomicMeasure(lp.A.points[keep], w[keep])
     return EstimateResult(
         measure=measure,
         objective_value=res.objective + lp.objective_const,

@@ -9,6 +9,7 @@ schedule solving the chained covering equations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,21 +205,28 @@ def min_prob_round(
     )
 
 
+@functools.cache
 def _sorted_grid_rows(resolution: int, k_max: int) -> np.ndarray:
-    """All decreasing compositions of `resolution` into at most k_max parts."""
+    """All decreasing compositions of `resolution` into at most k_max parts,
+    divided by `resolution`; built once per pair and read-only."""
     rows: list[list[int]] = []
 
     def rec(remaining: int, cap: int, prefix: list[int]):
         if remaining == 0:
             rows.append(prefix + [0] * (k_max - len(prefix)))
             return
-        if len(prefix) == k_max:
-            return
+        slots = k_max - len(prefix)
         for part in range(min(cap, remaining), 0, -1):
+            # parts after this one are at most `part`, so a smaller part
+            # cannot hold the remaining mass either
+            if part * slots < remaining:
+                break
             rec(remaining - part, part, prefix + [part])
 
     rec(resolution, resolution, [])
-    return np.asarray(rows, dtype=float) / resolution
+    grid = np.asarray(rows, dtype=float) / resolution
+    grid.flags.writeable = False
+    return grid
 
 
 def brute_force_pml(
@@ -226,9 +234,10 @@ def brute_force_pml(
 ) -> tuple[DiscreteDistribution, float]:
     """Grid-exhaustive maximizer of the profile likelihood, then refined.
 
-    The returned likelihood is attained, hence a certified lower bound on
-    the untruncated maximum; the grid optimum is exact within the grid class
-    of k_max-support distributions at the given resolution.
+    The returned likelihood is that of the returned (normalized) masses,
+    capped at 1, hence a certified lower bound on the untruncated maximum;
+    the grid optimum is exact within the grid class of k_max-support
+    distributions at the given resolution.
     """
     if k_max < 1 or grid_resolution < 1:
         raise DomainError("k_max and grid_resolution must be at least 1")
@@ -269,8 +278,10 @@ def brute_force_pml(
             step /= 2.0
             if step < 1e-6:
                 break
-    order = np.argsort(-masses)
-    return DiscreteDistribution(masses[order]), best_prob
+    # the float masses the search scored may sum to 1 plus or minus an ulp
+    masses = masses[np.argsort(-masses)]
+    pml = DiscreteDistribution(masses / masses.sum())
+    return pml, min(profile_probability(pml, phi), 1.0)
 
 
 def good_set(

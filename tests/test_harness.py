@@ -352,6 +352,16 @@ class TestCLIDeterminism:
         assert run_cli(["pml", "--profile", '{"n": 1, "phi": {"1": 1}}', "--out", str(out4)]) == 0
         assert out3.read_bytes() == out4.read_bytes()
 
+    def test_pml_likelihood_of_one_draw(self, tmp_path):
+        # every profile of one draw has probability 1, and the masses
+        # returned are scored, so the bound is at most 1
+        out = tmp_path / "p.json"
+        assert run_cli(["pml", "--profile", "1", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        like = payload["certified_likelihood_lower_bound"]
+        assert like <= 1.0 and like == pytest.approx(1.0, rel=1e-15)
+        assert sum(payload["pml_masses"]) == pytest.approx(1.0, rel=1e-15)
+
     def test_approx_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["approx", "--f", "abs", "--n-list", "1024"]

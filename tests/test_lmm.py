@@ -183,11 +183,17 @@ class TestColumnGeneration:
         assert np.allclose(res.measure.weights, ref.weights, rtol=0.0, atol=1e-12)
         assert res.objective_value - lp.objective_const == pytest.approx(full.objective, rel=1e-9, abs=1e-12)
 
-    def test_pricer_matches_dense_reduced_costs(self):
-        s = build_scheme(10**3)
+    @pytest.mark.parametrize("size", ["n1e3", "desk", "zipf:1"])
+    def test_pricer_matches_dense_reduced_costs(self, size):
         rng = np.random.default_rng(12)
-        lp = build_lp(MomentTable(rng.normal(size=(s.M, 3))), s, 50)
-        _, price = lmm._grid_column_generation(lp)
+        if size == "desk":
+            lp = desk_lp()
+        elif size == "zipf:1":
+            lp = estimator_lp("zipf:1", 101, 0)
+        else:
+            s = build_scheme(10**3)
+            lp = build_lp(MomentTable(rng.normal(size=(s.M, 3))), s, 50)
+        price = lp.A.price
         sizes = np.array([g.size for g in lp.grids])
         ends = np.cumsum(sizes)
         A = dense(lp)
@@ -285,7 +291,7 @@ class TestColumnGeneration:
         else:
             n, k = (1024, 200) if size == "n1024" else (10_000, 5000)
             lp = estimator_lp("zipf:1", 7, 0, n=n, k=k)
-        start, _ = lmm._grid_column_generation(lp)
+        start = lp.A.start
         assert start.size < lp.c.size
         A = dense(lp)
         largest = np.abs(A).max(axis=1)
@@ -371,6 +377,12 @@ class TestColumnCuts:
     def test_rows_are_not_cut(self):
         with pytest.raises(IndexError):
             desk_lp().A[0, :]
+
+
+def test_source_bytes_count_every_array_it_holds():
+    A = desk_lp().A
+    held = [v for v in vars(A).values() if isinstance(v, np.ndarray)]
+    assert A.nbytes == sum(v.nbytes for v in held)
 
 
 class TestSingleAtomRecovery:

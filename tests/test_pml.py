@@ -18,6 +18,7 @@ from sortdist.core import (
 from sortdist.errors import DomainError, ResourceLimitError
 from sortdist.pml import (
     QuantGrid,
+    _sorted_grid_rows,
     brute_force_pml,
     chain_params,
     check_goodset_lemma,
@@ -236,6 +237,45 @@ class TestBruteForcePML:
     def test_scale_cap(self):
         with pytest.raises(ResourceLimitError):
             brute_force_pml(enumerate_profiles(5)[0], k_max=7)
+
+    @pytest.mark.parametrize("k_max", [2, 3, 4, 5])
+    def test_likelihood_is_that_of_the_returned_masses(self, k_max):
+        # the search scores float masses whose sum can be off by an ulp;
+        # the profile of one draw once reported 1.0000000000000002
+        for n in range(1, 9):
+            for phi in enumerate_profiles(n):
+                p, like = brute_force_pml(phi, k_max=k_max)
+                assert abs(float(p.masses.sum()) - 1.0) <= 1e-15
+                assert like <= 1.0
+                assert like == pytest.approx(profile_probability(p, phi), rel=1e-15, abs=0.0)
+
+
+def unpruned_grid_rows(resolution, k_max):
+    """Every decreasing composition of `resolution` into at most k_max parts,
+    by the recursion that walks every prefix, dead ones included."""
+    rows = []
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            rows.append(prefix + [0] * (k_max - len(prefix)))
+            return
+        if len(prefix) == k_max:
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            rec(remaining - part, part, prefix + [part])
+
+    rec(resolution, resolution, [])
+    return np.asarray(rows, dtype=float) / resolution
+
+
+@pytest.mark.parametrize("resolution,k_max", [(60, 4), (60, 5), (24, 4), (60, 2), (60, 1), (1, 5), (7, 3)])
+def test_grid_rows_equal_the_unpruned_recursion(resolution, k_max):
+    rows = _sorted_grid_rows(resolution, k_max)
+    want = unpruned_grid_rows(resolution, k_max)
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    # built once per pair, and shared read-only
+    assert _sorted_grid_rows(resolution, k_max) is rows
+    assert not rows.flags.writeable
 
 
 def empirical_estimator_factory(k):

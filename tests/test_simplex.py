@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from sortdist import simplex
 from sortdist.harness import make_distribution
 from sortdist.intervals import DEFAULT_C1, build_scheme
-from sortdist.lmm import _grid_column_generation, build_lp
+from sortdist.lmm import build_lp
 from sortdist.moments import DEFAULT_C2, degree_for, moment_table_estimate
 from sortdist.sampling import sample_poissonized, substream
 from sortdist.simplex import simplex_solve
@@ -307,10 +307,9 @@ class TestColumnsOnly:
         scheme = build_scheme(n, DEFAULT_C1, "estimator")
         h = sample_poissonized(make_distribution(family, k), n, substream(101, 1))
         lp = build_lp(moment_table_estimate(h, scheme, degree_for(n, DEFAULT_C2), clamped=True), scheme, k)
-        start, price = _grid_column_generation(lp)
         A = dense(lp)
         runs = [
-            simplex_solve(lp.c, a, lp.b, secondary=lp.secondary, start=start, price=price)
+            simplex_solve(lp.c, a, lp.b, secondary=lp.secondary, start=lp.A.start, price=lp.A.price)
             for a in (ColumnsOnly(A), A, lp.A)
         ]
         assert runs[0].status == "optimal"
