@@ -316,11 +316,15 @@ def profile_probability_many(p_rows: np.ndarray, phi: Profile) -> np.ndarray:
 
     Rows need not be validated distributions; used by grid searches.
     """
-    parts = phi.parts()
-    n = phi.n
-    log_coef = gammaln(n + 1) - sum(gammaln(i + 1) * int(phi.phi[i - 1]) for i in range(1, n + 1))
-    coef = math.exp(log_coef)
-    return coef * monomial_symmetric(p_rows, parts)
+    coef = _multinomial_coef(tuple(phi.phi.tolist()), phi.n)
+    return coef * monomial_symmetric(p_rows, phi.parts())
+
+
+@lru_cache(maxsize=4096)
+def _multinomial_coef(phi: tuple[int, ...], n: int) -> float:
+    """n! / prod_i (i!)^phi_i, the sequences per histogram of the profile."""
+    log_coef = gammaln(n + 1) - sum(gammaln(i + 1) * phi[i - 1] for i in range(1, n + 1))
+    return math.exp(log_coef)
 
 
 def sorted_l1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    EXACT_SCALE_N,
     DiscreteDistribution,
     Histogram,
     enumerate_profiles,
@@ -23,7 +24,7 @@ from .errors import DomainError, ResourceLimitError
 from .intervals import DEFAULT_C1, build_scheme
 from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
-from .pml import PML_K_CAP, PML_N_CAP, brute_force_pml, good_set, min_prob_round
+from .pml import PML_K_CAP, brute_force_pml, good_set, min_prob_round
 from .poisson_approx import (
     DEFAULT_APPROX_C1,
     DEFAULT_APPROX_C2,
@@ -211,8 +212,8 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     curves are bounds, not predictions).
     """
     n, k = config.n, config.k
-    if n > PML_N_CAP:
-        raise ResourceLimitError(f"competitive check capped at n <= {PML_N_CAP}")
+    if n > EXACT_SCALE_N:
+        raise ResourceLimitError(f"competitive check capped at n <= {EXACT_SCALE_N}")
     if k > PML_K_CAP:
         raise ResourceLimitError(f"competitive check capped at k <= {PML_K_CAP}")
     p = make_distribution(config.dist, config.k)

@@ -10,6 +10,7 @@ schedule solving the chained covering equations.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ import numpy as np
 
 from .core import (
     AtomicMeasure,
+    EXACT_SCALE_N,
     DiscreteDistribution,
     Profile,
     enumerate_profiles,
@@ -43,9 +45,7 @@ __all__ = [
     "covering_constants",
 ]
 
-PML_N_CAP = 8
 PML_K_CAP = 5
-GOODSET_N_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -237,42 +237,58 @@ def brute_force_pml(
     The returned likelihood is that of the returned (normalized) masses,
     capped at 1, hence a certified lower bound on the untruncated maximum;
     the grid optimum is exact within the grid class of k_max-support
-    distributions at the given resolution.
+    distributions at the given resolution.  A profile with more distinct
+    symbols than k_max has likelihood 0 under every such distribution; it
+    gets the grid's first row, the point mass, with likelihood 0.
     """
     if k_max < 1 or grid_resolution < 1:
         raise DomainError("k_max and grid_resolution must be at least 1")
-    if phi.n > PML_N_CAP or k_max > PML_K_CAP:
+    if phi.n > EXACT_SCALE_N or k_max > PML_K_CAP:
         raise ResourceLimitError(
-            f"brute-force search capped at n <= {PML_N_CAP}, k_max <= {PML_K_CAP}"
+            f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}"
         )
     rows = _sorted_grid_rows(grid_resolution, k_max)
+    if phi.distinct_symbols > k_max:
+        # every row and every candidate scores 0, so the ascent cannot move
+        return DiscreteDistribution(rows[0].copy()), 0.0
     probs = profile_probability_many(rows, phi)
     best = int(np.argmax(probs))
     masses = rows[best].copy()
     best_prob = float(probs[best])
 
-    # pairwise mass-transfer ascent on a shrinking step schedule
+    # pairwise mass-transfer ascent on a shrinking step schedule: a sweep
+    # visits the pairs (i, j), i != j, in order and moves t = min(step,
+    # masses[j]) from j to i when that raises the likelihood
+    pairs = list(itertools.permutations(range(k_max), 2))
+    src, dst = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    row_end = np.diff(src, append=k_max) != 0
     step = 1.0 / grid_resolution
     steps_done = 0
     while steps_done < ascent_steps:
         improved = False
-        for i in range(k_max):
-            for j in range(k_max):
-                if i == j:
-                    continue
-                steps_done += 1
-                t = min(step, masses[j])
-                if t <= 0:
-                    continue
-                cand = masses.copy()
-                cand[i] += t
-                cand[j] -= t
-                prob = float(profile_probability_many(cand[None, :], phi)[0])
-                if prob > best_prob * (1 + 1e-12):
-                    masses, best_prob, improved = cand, prob, True
-                if steps_done >= ascent_steps:
-                    break
-            if steps_done >= ascent_steps:
+        pos = 0
+        while pos < src.size:
+            # Score the pairs left in the sweep from the current masses in one
+            # call and take the first gain: a pair-at-a-time loop would accept
+            # the same candidate.  Every pair spends a step; the budget is
+            # checked after each scored pair (t > 0) and at each row's end.
+            t = np.minimum(step, masses[dst[pos:]])
+            spent = steps_done + np.arange(1, t.size + 1) >= ascent_steps
+            stops = np.flatnonzero(spent & ((t > 0) | row_end[pos:]))
+            last = int(stops[0]) if stops.size else t.size - 1
+            live = np.flatnonzero(t[: last + 1] > 0)
+            cands = np.repeat(masses[None, :], live.size, axis=0)
+            cands[np.arange(live.size), src[pos + live]] += t[live]
+            cands[np.arange(live.size), dst[pos + live]] -= t[live]
+            probs = profile_probability_many(cands, phi)
+            gains = np.flatnonzero(probs > best_prob * (1 + 1e-12))
+            done = last
+            if gains.size:
+                g = int(gains[0])
+                masses, best_prob, improved, done = cands[g], float(probs[g]), True, int(live[g])
+            steps_done += done + 1
+            pos += done + 1
+            if stops.size and done == last:
                 break
         if not improved:
             step /= 2.0
@@ -296,8 +312,8 @@ def good_set(
     Exact enumeration; also returns the total profile probability of the set
     under p.
     """
-    if n > GOODSET_N_CAP:
-        raise ResourceLimitError(f"good-set enumeration capped at n <= {GOODSET_N_CAP}")
+    if n > EXACT_SCALE_N:
+        raise ResourceLimitError(f"good-set enumeration capped at n <= {EXACT_SCALE_N}")
     good = [phi for phi in enumerate_profiles(n) if loss(estimator(phi), p) <= eps]
     mass = sum(profile_probability(p, phi) for phi in good)
     return good, mass

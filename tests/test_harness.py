@@ -230,7 +230,12 @@ class TestCompetitive:
 
     def test_scale_cap(self):
         with pytest.raises(ResourceLimitError):
-            run_competitive_check(ExperimentConfig(n=9, k=3))
+            run_competitive_check(ExperimentConfig(n=13, k=3))
+
+    def test_runs_at_the_scale_cap(self):
+        rep = run_competitive_check(ExperimentConfig(n=12, k=4, dist="uniform", eps=0.6, c2=1.0))
+        assert len(rep["pml"]) == 77  # the partitions of 12
+        assert rep["direct_failure_probability"] <= rep["indicator_bound_term"] + 1e-12
 
 
 class TestApproxSweep:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from sortdist.core import (
     AtomicMeasure,
@@ -10,11 +11,13 @@ from sortdist.core import (
     Histogram,
     enumerate_profiles,
     measure_of,
+    monomial_symmetric,
     poisson_pmf,
     profile_of_histogram,
     profile_probability,
     profile_probability_many,
 )
+from sortdist import pml as pml_module
 from sortdist.errors import DomainError, ResourceLimitError
 from sortdist.pml import (
     QuantGrid,
@@ -237,6 +240,8 @@ class TestBruteForcePML:
     def test_scale_cap(self):
         with pytest.raises(ResourceLimitError):
             brute_force_pml(enumerate_profiles(5)[0], k_max=7)
+        with pytest.raises(ResourceLimitError):
+            brute_force_pml(enumerate_profiles(13)[0], k_max=3)
 
     @pytest.mark.parametrize("k_max", [2, 3, 4, 5])
     def test_likelihood_is_that_of_the_returned_masses(self, k_max):
@@ -248,6 +253,114 @@ class TestBruteForcePML:
                 assert abs(float(p.masses.sum()) - 1.0) <= 1e-15
                 assert like <= 1.0
                 assert like == pytest.approx(profile_probability(p, phi), rel=1e-15, abs=0.0)
+
+
+def one_pair_at_a_time_pml(phi, k_max=5, grid_resolution=60, ascent_steps=200):
+    """brute_force_pml with its ascent scoring one candidate per call."""
+    rows = pml_module._sorted_grid_rows(grid_resolution, k_max)
+    probs = profile_probability_many(rows, phi)
+    best = int(np.argmax(probs))
+    masses = rows[best].copy()
+    best_prob = float(probs[best])
+    step = 1.0 / grid_resolution
+    steps_done = 0
+    while steps_done < ascent_steps:
+        improved = False
+        for i in range(k_max):
+            for j in range(k_max):
+                if i == j:
+                    continue
+                steps_done += 1
+                t = min(step, masses[j])
+                if t <= 0:
+                    continue
+                cand = masses.copy()
+                cand[i] += t
+                cand[j] -= t
+                prob = float(profile_probability_many(cand[None, :], phi)[0])
+                if prob > best_prob * (1 + 1e-12):
+                    masses, best_prob, improved = cand, prob, True
+                if steps_done >= ascent_steps:
+                    break
+            if steps_done >= ascent_steps:
+                break
+        if not improved:
+            step /= 2.0
+            if step < 1e-6:
+                break
+    masses = masses[np.argsort(-masses)]
+    pml = DiscreteDistribution(masses / masses.sum())
+    return pml, min(profile_probability(pml, phi), 1.0)
+
+
+def assert_same_pml(phi, **kwargs):
+    got, got_like = brute_force_pml(phi, **kwargs)
+    want, want_like = one_pair_at_a_time_pml(phi, **kwargs)
+    assert got.masses.tobytes() == want.masses.tobytes(), (phi.parts(), kwargs)
+    assert repr(got_like) == repr(want_like), (phi.parts(), kwargs)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5])
+def test_batched_ascent_equals_one_pair_at_a_time(k_max):
+    for n in range(1, 9):
+        for phi in enumerate_profiles(n):
+            assert_same_pml(phi, k_max=k_max)
+
+
+@pytest.mark.parametrize("k_max,steps", [(3, 7), (4, 13), (4, 60), (5, 1), (5, 33), (2, 5)])
+def test_batched_ascent_spends_the_same_steps(k_max, steps):
+    # budgets that run out inside a sweep, at the step that follows a
+    # skipped pair (t = 0) or at a row's end
+    for n in (3, 5, 7):
+        for phi in enumerate_profiles(n):
+            assert_same_pml(phi, k_max=k_max, grid_resolution=24, ascent_steps=steps)
+
+
+@pytest.mark.parametrize("start,counts,steps,moved", [
+    # (0, 1) moves nothing (t = 0) and spends the one step; the loop still
+    # scores (0, 2), which gains, before it checks the budget
+    ([0.6, 0.0, 0.4], [2], 1, True),
+    # (0, 2) moves nothing and spends the last step at the end of row 0;
+    # the loop stops there, before the gain at (1, 0)
+    ([0.6, 0.4, 0.0], [1, 1], 2, False),
+])
+def test_budget_spent_on_a_skipped_pair(monkeypatch, start, counts, steps, moved):
+    # the grid's rows are decreasing, so a zero mass before a positive one
+    # needs a planted start
+    rows = np.asarray([start])
+    monkeypatch.setattr(pml_module, "_sorted_grid_rows", lambda resolution, k_max: rows)
+    phi = profile_of_histogram(Histogram(counts))
+    p, _ = brute_force_pml(phi, k_max=3, grid_resolution=10, ascent_steps=steps)
+    assert (sorted(p.masses) != sorted(start)) == moved
+    assert_same_pml(phi, k_max=3, grid_resolution=10, ascent_steps=steps)
+
+
+def test_more_distinct_symbols_than_k_max_scores_zero():
+    # the ascent cannot leave the grid's first row, the point mass
+    phi = profile_of_histogram(Histogram([3, 2, 1, 1, 1]))
+    for k_max in (1, 2, 3, 4):
+        p, like = brute_force_pml(phi, k_max=k_max)
+        assert like == 0.0
+        assert p.masses.tolist() == [1.0] + [0.0] * (k_max - 1)
+        assert_same_pml(phi, k_max=k_max)
+
+
+def uncached_profile_probability_many(p_rows, phi):
+    """profile_probability_many with its multinomial coefficient recomputed."""
+    n = phi.n
+    log_coef = gammaln(n + 1) - sum(gammaln(i + 1) * int(phi.phi[i - 1]) for i in range(1, n + 1))
+    return math.exp(log_coef) * monomial_symmetric(p_rows, phi.parts())
+
+
+def test_profile_probability_many_equals_the_uncached_coefficient_form():
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        for phi in enumerate_profiles(n):
+            k = int(rng.integers(1, 9))
+            rows = rng.dirichlet(np.ones(k), size=5)
+            for _ in range(2):  # the second call reads the cache
+                got = profile_probability_many(rows, phi)
+                assert got.tobytes() == uncached_profile_probability_many(rows, phi).tobytes()
 
 
 def unpruned_grid_rows(resolution, k_max):
@@ -329,6 +442,11 @@ class TestGoodSet:
             assert check_goodset_lemma(q, p, good, eps, delta, est, self.loss)
             hits += 1
         assert hits == 300
+
+    def test_scale_cap(self):
+        p = DiscreteDistribution([0.5, 0.5])
+        with pytest.raises(ResourceLimitError):
+            good_set(empirical_estimator_factory(2), p, 1.0, self.loss, 13)
 
     def test_q_equals_p_nonvacuous(self):
         rng = np.random.default_rng(8)
