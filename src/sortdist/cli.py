@@ -116,9 +116,7 @@ def _parse_profile(text: str) -> Profile:
     if not raw:
         raise DomainError(f"profile {text!r} is empty")
     n = sum((i + 1) * c for i, c in enumerate(raw))
-    phi = np.zeros(n, dtype=np.int64)
-    phi[: len(raw)] = raw
-    return Profile(phi, n)
+    return Profile(raw + [0] * (n - len(raw)))
 
 
 def _cmd_pml(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -102,22 +102,22 @@ class Profile:
     """Multiplicity vector: phi[i-1] symbols occur exactly i times, i = 1..n."""
 
     phi: np.ndarray
-    n: int = field(default=0)
 
     def __post_init__(self):
         p = np.asarray(self.phi, dtype=np.int64)
         object.__setattr__(self, "phi", p)
-        n = int(p.size) if self.n == 0 else int(self.n)
-        object.__setattr__(self, "n", n)
-        if n < 1:
-            raise DomainError("a profile needs n >= 1")
-        if p.ndim != 1 or p.size != n:
-            raise DomainError("phi must have length n")
+        if p.ndim != 1 or p.size < 1:
+            raise DomainError("a profile needs a 1-D phi with n >= 1")
         if np.any(p < 0):
             raise DomainError("negative multiplicity")
+        n = p.size
         total = int(np.dot(np.arange(1, n + 1), p))
         if total != n:
             raise DomainError(f"profile inconsistent: sum i*phi_i = {total} != n = {n}")
+
+    @property
+    def n(self) -> int:
+        return self.phi.size
 
     @property
     def distinct_symbols(self) -> int:
@@ -152,7 +152,7 @@ class Profile:
             if not 1 <= i <= n:
                 raise DomainError(f"multiplicity index {i} outside 1..{n}")
             phi[i - 1] = c
-        return Profile(phi, n)
+        return Profile(phi)
 
 
 class AtomicMeasure:
@@ -228,25 +228,22 @@ def profile_of_histogram(h: Histogram) -> Profile:
     n = h.n
     if n == 0:
         raise DomainError("empty sample has no profile")
-    nz = h.counts[h.counts > 0]
-    phi = np.bincount(nz, minlength=n + 1)[1:]
-    return Profile(phi.astype(np.int64), n)
+    return Profile(np.bincount(h.counts[h.counts > 0], minlength=n + 1)[1:])
 
 
-def _partitions(n: int, max_part: int):
+def _partitions(n: int, max_part: int, max_parts: int):
+    """Decreasing partitions of n into at most max_parts parts of at most
+    max_part each, in decreasing lexicographic order."""
     if n == 0:
         yield ()
         return
     for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - first, first):
+        # later parts are at most `first`, so a smaller first part cannot
+        # fill the slots left either
+        if first * max_parts < n:
+            break
+        for rest in _partitions(n - first, first, max_parts - 1):
             yield (first,) + rest
-
-
-def partition_to_profile(parts: tuple[int, ...], n: int) -> Profile:
-    phi = np.zeros(n, dtype=np.int64)
-    for part in parts:
-        phi[part - 1] += 1
-    return Profile(phi, n)
 
 
 def enumerate_profiles(n: int) -> list[Profile]:
@@ -255,7 +252,7 @@ def enumerate_profiles(n: int) -> list[Profile]:
         raise DomainError("n must be positive")
     if n > PROFILE_ENUM_CAP:
         raise ResourceLimitError(f"profile enumeration capped at n = {PROFILE_ENUM_CAP}")
-    return [partition_to_profile(parts, n) for parts in _partitions(n, n)]
+    return [Profile(np.bincount(parts, minlength=n + 1)[1:]) for parts in _partitions(n, n, n)]
 
 
 @lru_cache(maxsize=4096)
@@ -285,9 +282,8 @@ def monomial_symmetric(p_rows: np.ndarray, parts: tuple[int, ...]) -> np.ndarray
     """m_lambda evaluated at each row of p_rows, lambda given by `parts`."""
     rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
     k = rows.shape[1]
-    if len(parts) > k:
-        return np.zeros(rows.shape[0])
-    # in decreasing order, the order _assignment_index_tuples places them in
+    # in decreasing order, the order _assignment_index_tuples places them in;
+    # more parts than k leave no placement, and the sum below stays 0
     parts = tuple(sorted(parts, reverse=True))
     assignments = _assignment_index_tuples(parts, k)
     exps = np.asarray(parts, dtype=float)
@@ -316,13 +312,14 @@ def profile_probability_many(p_rows: np.ndarray, phi: Profile) -> np.ndarray:
 
     Rows need not be validated distributions; used by grid searches.
     """
-    coef = _multinomial_coef(tuple(phi.phi.tolist()), phi.n)
+    coef = _multinomial_coef(tuple(phi.phi.tolist()))
     return coef * monomial_symmetric(p_rows, phi.parts())
 
 
 @lru_cache(maxsize=4096)
-def _multinomial_coef(phi: tuple[int, ...], n: int) -> float:
+def _multinomial_coef(phi: tuple[int, ...]) -> float:
     """n! / prod_i (i!)^phi_i, the sequences per histogram of the profile."""
+    n = len(phi)
     log_coef = gammaln(n + 1) - sum(gammaln(i + 1) * phi[i - 1] for i in range(1, n + 1))
     return math.exp(log_coef)
 

@@ -67,8 +67,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        if self.eps <= 0:
-            raise DomainError("eps must be > 0")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise DomainError(f"eps must be a finite number > 0, not {self.eps!r}")
         if self.sampling not in ("poissonized", "iid"):
             raise DomainError("sampling must be poissonized or iid")
 
@@ -217,7 +217,6 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     if k > PML_K_CAP:
         raise ResourceLimitError(f"competitive check capped at k <= {PML_K_CAP}")
     p = make_distribution(config.dist, config.k)
-    mu_p = measure_of(p)
     scheme = build_scheme(n, 1.0, "estimator")
 
     def estimator(phi):
@@ -232,24 +231,15 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     good, good_mass = good_set(estimator, p, eps, loss, n)
     delta_emp = 1.0 - good_mass
 
-    profiles = enumerate_profiles(n)
     good_keys = {tuple(g.phi.tolist()) for g in good}
-    prepared = []
     eps_prime = 0.0
-    for phi in profiles:
+    indicator_sum = 0.0
+    pml_rows = []
+    for phi in enumerate_profiles(n):
         prob = profile_probability(p, phi)
         pml, like = brute_force_pml(phi, k_max=k)
         rounded = min_prob_round(pml, phi)
         eps_prime = max(eps_prime, sorted_l1(pml, rounded))
-        d = sorted_l1(pml, p)
-        prepared.append((phi, prob, pml, like, rounded, d))
-
-    direct_failure = 0.0
-    indicator_sum = 0.0
-    pml_rows = []
-    for phi, prob, pml, like, rounded, d in prepared:
-        if d > 2 * eps + eps_prime:
-            direct_failure += prob
         if tuple(phi.phi.tolist()) in good_keys:
             rounded_good_mass = sum(profile_probability(rounded, g) for g in good)
             if rounded_good_mass <= delta_emp:
@@ -260,9 +250,14 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
                 "probability": prob,
                 "pml_masses": [float(x) for x in pml.masses],
                 "pml_likelihood": like,
-                "sorted_l1_to_truth": d,
+                "sorted_l1_to_truth": sorted_l1(pml, p),
             }
         )
+    # eps_prime is a max over every profile, so this pass comes after
+    direct_failure = 0.0
+    for row in pml_rows:
+        if row["sorted_l1_to_truth"] > 2 * eps + eps_prime:
+            direct_failure += row["probability"]
     delta = max(delta_emp, 1e-12)
     c_small = 1.0 / 24.0
     curves = {
@@ -301,6 +296,8 @@ def parse_function(spec: str):
             c = float(spec.split("@", 1)[1])
         except ValueError:
             raise DomainError(f"kink in {spec!r} is not a number") from None
+        if not math.isfinite(c):
+            raise DomainError(f"kink in {spec!r} is not finite")
         return lambda x: abs(x - c)
     raise DomainError(f"unknown function spec {spec!r}")
 

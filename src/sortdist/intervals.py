@@ -79,8 +79,8 @@ def build_scheme(n: int, c1: float = DEFAULT_C1, variant: str = "estimator") -> 
     """
     if n < 4:
         raise DomainError("n must be at least 4")
-    if c1 < 1:
-        raise DomainError("c1 must be at least 1")
+    if not (math.isfinite(c1) and c1 >= 1):
+        raise DomainError(f"c1 must be a finite number at least 1, not {c1!r}")
     if variant not in ("estimator", "approximation"):
         raise DomainError(f"unknown variant {variant!r}")
     logn = math.log(n)

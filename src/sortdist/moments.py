@@ -44,8 +44,8 @@ DEFAULT_C2 = 0.25
 
 def degree_for(n: int, c2: float = DEFAULT_C2) -> int:
     """Moment depth D = round(c2 log n), floored at 1."""
-    if c2 <= 0:
-        raise DomainError("c2 must be positive")
+    if not (math.isfinite(c2) and c2 > 0):
+        raise DomainError(f"c2 must be a finite positive number, not {c2!r}")
     return max(1, int(round(c2 * math.log(n))))
 
 

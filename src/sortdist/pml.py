@@ -23,6 +23,7 @@ from .core import (
     EXACT_SCALE_N,
     DiscreteDistribution,
     Profile,
+    _partitions,
     enumerate_profiles,
     profile_probability,
     profile_probability_many,
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 PML_K_CAP = 5
+# The grid has one row per decreasing composition of the resolution into at
+# most k_max parts, about r^4 rows at k_max = 5: 7,166 at 60 and 91,606 at 120.
+PML_RESOLUTION_CAP = 120
+# Pairs (i, j), scored or not, that the ascent of `brute_force_pml` may visit.
+ASCENT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -166,18 +172,19 @@ def min_prob_round(
     Clamps sub-threshold masses up to 1/(2 n^A) and rescales the larger
     masses down to restore normalization, then verifies the closeness
     predicates and the e^-6 profile-likelihood retention; a fallback shaves
-    only the largest mass before giving up.
+    only the largest mass before giving up.  A p with no positive mass below
+    the floor is returned as it is.
     """
     n = phi.n
     floor = 1.0 / (2.0 * n**A)
     alpha, beta = n**-A, 3.0 * n ** (-A / 2.0)
+    small = (p.masses > 0) & (p.masses < floor)
+    if not np.any(small):
+        return p
     base_prob = profile_probability(p, phi)
 
     def attempt(shave_large_only: bool) -> DiscreteDistribution | None:
         masses = p.masses.copy()
-        small = (masses > 0) & (masses < floor)
-        if not np.any(small):
-            return DiscreteDistribution(masses)
         deficit = float(np.sum(floor - masses[small]))
         masses[small] = floor
         big = masses > alpha
@@ -208,29 +215,19 @@ def min_prob_round(
 @functools.cache
 def _sorted_grid_rows(resolution: int, k_max: int) -> np.ndarray:
     """All decreasing compositions of `resolution` into at most k_max parts,
-    divided by `resolution`; built once per pair and read-only."""
-    rows: list[list[int]] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            rows.append(prefix + [0] * (k_max - len(prefix)))
-            return
-        slots = k_max - len(prefix)
-        for part in range(min(cap, remaining), 0, -1):
-            # parts after this one are at most `part`, so a smaller part
-            # cannot hold the remaining mass either
-            if part * slots < remaining:
-                break
-            rec(remaining - part, part, prefix + [part])
-
-    rec(resolution, resolution, [])
+    zero-padded to k_max and divided by `resolution`; built once per pair
+    and read-only."""
+    rows = [
+        parts + (0,) * (k_max - len(parts))
+        for parts in _partitions(resolution, resolution, k_max)
+    ]
     grid = np.asarray(rows, dtype=float) / resolution
     grid.flags.writeable = False
     return grid
 
 
 def brute_force_pml(
-    phi: Profile, k_max: int = PML_K_CAP, grid_resolution: int = 60, ascent_steps: int = 200
+    phi: Profile, k_max: int = PML_K_CAP, grid_resolution: int = 60
 ) -> tuple[DiscreteDistribution, float]:
     """Grid-exhaustive maximizer of the profile likelihood, then refined.
 
@@ -243,9 +240,10 @@ def brute_force_pml(
     """
     if k_max < 1 or grid_resolution < 1:
         raise DomainError("k_max and grid_resolution must be at least 1")
-    if phi.n > EXACT_SCALE_N or k_max > PML_K_CAP:
+    if phi.n > EXACT_SCALE_N or k_max > PML_K_CAP or grid_resolution > PML_RESOLUTION_CAP:
         raise ResourceLimitError(
-            f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}"
+            f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}, "
+            f"grid_resolution <= {PML_RESOLUTION_CAP}"
         )
     rows = _sorted_grid_rows(grid_resolution, k_max)
     if phi.distinct_symbols > k_max:
@@ -264,7 +262,7 @@ def brute_force_pml(
     row_end = np.diff(src, append=k_max) != 0
     step = 1.0 / grid_resolution
     steps_done = 0
-    while steps_done < ascent_steps:
+    while steps_done < ASCENT_STEPS:
         improved = False
         pos = 0
         while pos < src.size:
@@ -273,7 +271,7 @@ def brute_force_pml(
             # the same candidate.  Every pair spends a step; the budget is
             # checked after each scored pair (t > 0) and at each row's end.
             t = np.minimum(step, masses[dst[pos:]])
-            spent = steps_done + np.arange(1, t.size + 1) >= ascent_steps
+            spent = steps_done + np.arange(1, t.size + 1) >= ASCENT_STEPS
             stops = np.flatnonzero(spent & ((t > 0) | row_end[pos:]))
             last = int(stops[0]) if stops.size else t.size - 1
             live = np.flatnonzero(t[: last + 1] > 0)

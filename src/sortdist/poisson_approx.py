@@ -22,7 +22,7 @@ from scipy.special import gammaln
 from .core import poisson_pmf
 from .errors import DomainError, RateMismatchError
 from .intervals import IntervalScheme, build_scheme
-from .moments import D_MAX, charlier_family
+from .moments import D_MAX, charlier_family, degree_for
 
 __all__ = [
     "LocalPolynomial",
@@ -261,9 +261,16 @@ def evaluate(poly: PoissonPolynomial, x: float) -> float:
     return float(poly.coeffs[lo : hi + 1] @ poisson_pmf(lam, j))
 
 
+def _support_cut(n: int, delta: float) -> int:
+    """The last coefficient index kept, floor((1 + delta) n)."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise DomainError(f"delta must be a finite number >= 0, not {delta!r}")
+    return int(math.floor((1.0 + delta) * n + 1e-9))
+
+
 def naive_coefficients(f: Callable[[float], float], n: int, delta: float = 1.0) -> PoissonPolynomial:
     """The plain choice b_j = f(j/n), truncated at (1 + delta) n."""
-    cut = int(math.floor((1.0 + delta) * n + 1e-9))
+    cut = _support_cut(n, delta)
     j = np.arange(0, cut + 1)
     coeffs = np.asarray([f(float(t) / n) for t in j])
     return PoissonPolynomial(n=n, delta=delta, coeffs=coeffs)
@@ -283,8 +290,9 @@ def build_poisson_approximation(
     range only, the blocks are spliced, and the result is cut at
     (1 + delta) n so the support bound holds by construction.
     """
+    cut = _support_cut(n, delta)
     scheme = build_scheme(n, c1, "approximation")
-    degree = max(2, int(round(c2 * math.log(n))))
+    degree = max(2, degree_for(n, c2))
     f0 = float(f(0.0))
 
     def g(x: float) -> float:
@@ -301,7 +309,6 @@ def build_poisson_approximation(
         blocks.append(LocalBlock(m=m, rate=rate, offset=j_lo, values=values))
 
     spliced = glue(blocks, n, scheme)
-    cut = int(math.floor((1.0 + delta) * n + 1e-9))
     coeffs = np.zeros(cut + 1)
     upto = min(cut + 1, spliced.size)
     coeffs[:upto] = spliced[:upto]
@@ -322,6 +329,8 @@ def verify_bounds(
     the worst coefficient deviation |b_j - f(j/n)| * n^(1-eps) / (1 + sqrt(j)),
     and whether the support cut at (1 + delta) n holds exactly.
     """
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, not {eps!r}")
     n = poly.n
     x_grid = np.unique(
         np.concatenate([np.linspace(0.0, 1.0, 513), np.geomspace(1.0 / (4 * n), 0.05, 160)])
@@ -334,7 +343,7 @@ def verify_bounds(
     j = np.arange(poly.coeffs.size)
     f_at_j = np.asarray([f(float(t) / n) for t in j])
     dev = np.abs(poly.coeffs - f_at_j) * n ** (1.0 - eps) / (1.0 + np.sqrt(j))
-    cut = int(math.floor((1.0 + poly.delta) * n + 1e-9))
+    cut = _support_cut(n, poly.delta)
     support_ok = poly.coeffs.size - 1 <= cut or not np.any(poly.coeffs[cut + 1 :])
     return ApproxReport(
         sup_weighted_error=sup_weighted,

@@ -14,6 +14,7 @@ from sortdist.core import (
     DiscreteDistribution,
     Histogram,
     Profile,
+    _partitions,
     binomial_pmf,
     enumerate_profiles,
     histogram_of_samples,
@@ -79,7 +80,7 @@ class TestHistogramProfile:
 
     def test_profile_consistency_enforced(self):
         with pytest.raises(DomainError):
-            Profile(np.array([1, 1]), 2)  # 1*1 + 2*1 = 3 != 2
+            Profile(np.array([1, 1]))  # 1*1 + 2*1 = 3 != 2
 
     def test_empty_profile_rejected(self):
         with pytest.raises(DomainError):
@@ -125,6 +126,21 @@ class TestEnumerateProfiles:
         profs = enumerate_profiles(12)
         keys = {tuple(p.phi.tolist()) for p in profs}
         assert len(keys) == len(profs)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_partitions_in_decreasing_lexicographic_order(self, n):
+        # competitive.json lists its PML rows in this order
+        parts = [phi.parts() for phi in enumerate_profiles(n)]
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
+        assert all(a > b for a, b in zip(parts, parts[1:]))
+
+    def test_bounded_partitions_equal_the_unbounded_filtered_by_length(self):
+        for n in range(0, 13):
+            for max_part in range(1, n + 2):
+                unbounded = list(_partitions(n, max_part, n))
+                for max_parts in range(0, n + 2):
+                    want = [p for p in unbounded if len(p) <= max_parts]
+                    assert list(_partitions(n, max_part, max_parts)) == want
 
 
 def _profile_probability_by_sequences(p, phi):

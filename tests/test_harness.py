@@ -12,6 +12,7 @@ from sortdist.harness import (
     ExperimentConfig,
     TrialRecord,
     make_distribution,
+    parse_function,
     run_approx_sweep,
     run_benchmark,
     run_competitive_check,
@@ -28,6 +29,11 @@ from sortdist.sampling import (
 )
 from sortdist.wasserstein import w1
 from sortdist.core import measure_of, sorted_l1_vectors
+from sortdist import pml as pml_module
+from sortdist.intervals import build_scheme
+from sortdist.moments import degree_for
+from sortdist.pml import PML_RESOLUTION_CAP
+from sortdist.poisson_approx import build_poisson_approximation, naive_coefficients, verify_bounds
 
 
 class TestSampling:
@@ -261,6 +267,25 @@ def run_cli(args):
     return cli_main(args)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_domain_errors(value):
+    with pytest.raises(DomainError, match="eps must be"):
+        ExperimentConfig(n=8, k=4, eps=value)
+    with pytest.raises(DomainError, match="c1 must be"):
+        build_scheme(64, value, "estimator")
+    with pytest.raises(DomainError, match="c2 must be"):
+        degree_for(64, value)
+    with pytest.raises(DomainError, match="kink"):
+        parse_function(f"abs@{value}")
+    f = parse_function("abs")
+    with pytest.raises(DomainError, match="delta must be"):
+        naive_coefficients(f, 64, delta=value)
+    with pytest.raises(DomainError, match="delta must be"):
+        build_poisson_approximation(f, 64, delta=value)
+    with pytest.raises(DomainError, match="eps must be"):
+        verify_bounds(naive_coefficients(f, 64), f, eps=value)
+
+
 class TestCLIDeterminism:
     def read_all(self, root: Path) -> dict[str, bytes]:
         return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
@@ -328,10 +353,21 @@ class TestCLIDeterminism:
             ({}, ["benchmark", "--n", "1024", "--k", "20", "--trials", "1", "--delta", "0.5"],
              "unrecognized arguments: --delta"),
             ({}, ["competitive", "--n", "5", "--k", "3", "--seed", "3"], "unrecognized arguments: --seed"),
+            ({"h.txt": "40\n9\n0\n3\n"}, ["estimate", "h.txt", "--n", "64", "--c1", "nan"], "c1 must be"),
+            ({}, ["approx", "--n-list", "1024", "--c2", "nan"], "c2 must be"),
+            ({}, ["competitive", "--n", "5", "--k", "3", "--c2", "inf"], "c2 must be"),
+            ({}, ["competitive", "--n", "5", "--k", "3", "--eps", "nan"], "eps must be"),
+            ({}, ["benchmark", "--n", "1024", "--k", "20", "--trials", "1", "--eps", "nan"], "eps must be"),
+            ({}, ["approx", "--n-list", "1024", "--eps", "nan"], "eps must be"),
+            ({}, ["approx", "--f", "abs@nan", "--n-list", "1024"], "kink"),
+            ({}, ["approx", "--n-list", "1024", "--delta", "-2"], "delta must be"),
+            ({}, ["approx", "--n-list", "1024", "--delta", "nan"], "delta must be"),
         ],
         ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing", "abs@x",
              "n-list-10x", "profile-a,b", "profile-0,0", "profile-1,-1", "profile-index-3", "profile-no-phi",
-             "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed"],
+             "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed",
+             "estimate-c1=nan", "approx-c2=nan", "competitive-c2=inf", "competitive-eps=nan",
+             "benchmark-eps=nan", "approx-eps=nan", "abs@nan", "approx-delta=-2", "approx-delta=nan"],
     )
     def test_malformed_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, files, args, message):
         monkeypatch.chdir(tmp_path)
@@ -366,6 +402,19 @@ class TestCLIDeterminism:
         like = payload["certified_likelihood_lower_bound"]
         assert like <= 1.0 and like == pytest.approx(1.0, rel=1e-15)
         assert sum(payload["pml_masses"]) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("resolution", [PML_RESOLUTION_CAP + 1, 1000])
+    def test_pml_resolution_above_the_cap_builds_no_grid(self, tmp_path, monkeypatch, capsys, resolution):
+        def no_grid(resolution, k_max):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(pml_module, "_sorted_grid_rows", no_grid)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["pml", "--profile", "2,0,1", "--resolution", str(resolution), "--out", "out.json"])
+        assert exc.value.code == 2
+        assert f"grid_resolution <= {PML_RESOLUTION_CAP}" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_approx_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

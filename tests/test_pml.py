@@ -228,11 +228,12 @@ class TestBruteForcePML:
         assert like == pytest.approx(0.75, abs=1e-9)
         assert np.allclose(p.masses, [0.25] * 4, atol=1e-9)
 
-    def test_defining_property_against_random_draws(self):
+    def test_defining_property_against_random_draws(self, monkeypatch):
+        monkeypatch.setattr(pml_module, "ASCENT_STEPS", 60)
         rng = np.random.default_rng(4)
         for n in (4, 5, 6):
             for phi in enumerate_profiles(n):
-                _, like = brute_force_pml(phi, k_max=4, grid_resolution=24, ascent_steps=60)
+                _, like = brute_force_pml(phi, k_max=4, grid_resolution=24)
                 rows = rng.dirichlet(np.ones(4), size=300)
                 probs = profile_probability_many(rows, phi)
                 assert probs.max() <= like * 1.02 + 1e-12
@@ -242,6 +243,8 @@ class TestBruteForcePML:
             brute_force_pml(enumerate_profiles(5)[0], k_max=7)
         with pytest.raises(ResourceLimitError):
             brute_force_pml(enumerate_profiles(13)[0], k_max=3)
+        with pytest.raises(ResourceLimitError, match="grid_resolution"):
+            brute_force_pml(enumerate_profiles(5)[0], grid_resolution=pml_module.PML_RESOLUTION_CAP + 1)
 
     @pytest.mark.parametrize("k_max", [2, 3, 4, 5])
     def test_likelihood_is_that_of_the_returned_masses(self, k_max):
@@ -255,8 +258,10 @@ class TestBruteForcePML:
                 assert like == pytest.approx(profile_probability(p, phi), rel=1e-15, abs=0.0)
 
 
-def one_pair_at_a_time_pml(phi, k_max=5, grid_resolution=60, ascent_steps=200):
-    """brute_force_pml with its ascent scoring one candidate per call."""
+def one_pair_at_a_time_pml(phi, k_max=5, grid_resolution=60):
+    """brute_force_pml with its ascent scoring one candidate per call, on the
+    budget it reads at call time."""
+    ascent_steps = pml_module.ASCENT_STEPS
     rows = pml_module._sorted_grid_rows(grid_resolution, k_max)
     probs = profile_probability_many(rows, phi)
     best = int(np.argmax(probs))
@@ -308,12 +313,13 @@ def test_batched_ascent_equals_one_pair_at_a_time(k_max):
 
 
 @pytest.mark.parametrize("k_max,steps", [(3, 7), (4, 13), (4, 60), (5, 1), (5, 33), (2, 5)])
-def test_batched_ascent_spends_the_same_steps(k_max, steps):
+def test_batched_ascent_spends_the_same_steps(monkeypatch, k_max, steps):
     # budgets that run out inside a sweep, at the step that follows a
     # skipped pair (t = 0) or at a row's end
+    monkeypatch.setattr(pml_module, "ASCENT_STEPS", steps)
     for n in (3, 5, 7):
         for phi in enumerate_profiles(n):
-            assert_same_pml(phi, k_max=k_max, grid_resolution=24, ascent_steps=steps)
+            assert_same_pml(phi, k_max=k_max, grid_resolution=24)
 
 
 @pytest.mark.parametrize("start,counts,steps,moved", [
@@ -329,10 +335,22 @@ def test_budget_spent_on_a_skipped_pair(monkeypatch, start, counts, steps, moved
     # needs a planted start
     rows = np.asarray([start])
     monkeypatch.setattr(pml_module, "_sorted_grid_rows", lambda resolution, k_max: rows)
+    monkeypatch.setattr(pml_module, "ASCENT_STEPS", steps)
     phi = profile_of_histogram(Histogram(counts))
-    p, _ = brute_force_pml(phi, k_max=3, grid_resolution=10, ascent_steps=steps)
+    p, _ = brute_force_pml(phi, k_max=3, grid_resolution=10)
     assert (sorted(p.masses) != sorted(start)) == moved
-    assert_same_pml(phi, k_max=3, grid_resolution=10, ascent_steps=steps)
+    assert_same_pml(phi, k_max=3, grid_resolution=10)
+
+
+def test_default_budget_ends_the_ascent_early(monkeypatch):
+    # a larger budget moves the PML of profile (2, 0, 1) at k_max = 5,
+    # so ASCENT_STEPS decides its bytes
+    phi = profile_of_histogram(Histogram([3, 1, 1]))
+    assert pml_module.ASCENT_STEPS == 200
+    p, _ = brute_force_pml(phi, k_max=5)
+    monkeypatch.setattr(pml_module, "ASCENT_STEPS", 10**5)
+    q, _ = brute_force_pml(phi, k_max=5)
+    assert p.masses.tobytes() != q.masses.tobytes()
 
 
 def test_more_distinct_symbols_than_k_max_scores_zero():

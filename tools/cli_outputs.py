@@ -4,8 +4,11 @@
 
 Runs `python -m sortdist.cli` with the package imported from the `--src`
 directory, so two source trees can be compared: the five commands of the
-CLI determinism criterion (estimate, benchmark, competitive, approx, pml)
-and a (1e4, 5000) `zipf:1` benchmark of 3 trials at seed 101.  Outputs go
+CLI determinism criterion (estimate, benchmark, competitive, approx, pml),
+a (1e4, 5000) `zipf:1` benchmark of 3 trials at seed 101, the competitive
+checks of the `pml-desk` benchmark workload (n = 8, k = 4, eps = 0.6,
+c2 = 1 on `uniform`, `two-level` and `zipf:1`), and a k_max = 5 PML whose
+ascent spends its whole step budget.  Outputs go
 under `--out`, one directory per command.  Prints one JSON object mapping
 each output file, relative to `--out`, to its SHA-256, so equal outputs are
 one `diff` of the two printed objects.
@@ -34,6 +37,14 @@ COMMANDS = {
         "benchmark", "--n", "10000", "--k", "5000", "--dist", "zipf:1", "--trials", "3",
         "--seed", "101", "--out", "{out}",
     ],
+    **{
+        f"competitive-desk-{dist.replace(':', '')}": [
+            "competitive", "--n", "8", "--k", "4", "--eps", "0.6", "--c2", "1", "--dist", dist,
+            "--out", "{out}",
+        ]
+        for dist in ("uniform", "two-level", "zipf:1")
+    },
+    "pml-kmax5": ["pml", "--profile", "2,0,1", "--kmax", "5", "--out", "{out}/out.json"],
 }
 
 
