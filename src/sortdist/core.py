@@ -31,6 +31,7 @@ __all__ = [
     "sorted_l1",
     "measure_of",
     "poisson_pmf",
+    "poisson_pmf_windows",
     "binomial_pmf",
     "poisson_interval_prob",
 ]
@@ -391,6 +392,12 @@ def _bd0(x: np.ndarray, mu) -> np.ndarray:
     return out
 
 
+def _saddle_pmf(lam: float, xs: np.ndarray, neg_stirlerr: np.ndarray, half_log: np.ndarray) -> np.ndarray:
+    """The saddle-point pmf at counts xs > 0, given their count-only terms
+    -stirlerr(xs) and log(2 pi xs) / 2."""
+    return np.exp(neg_stirlerr - _bd0(xs, lam) - half_log)
+
+
 def poisson_pmf(lam: float, j) -> np.ndarray | float:
     """Poisson pmf via saddle-point evaluation; relative error ~1e-13 up to rates ~1e7."""
     if lam < 0:
@@ -405,9 +412,40 @@ def poisson_pmf(lam: float, j) -> np.ndarray | float:
         zero = jj == 0
         out[zero] = math.exp(-lam)
         xs = jj[~zero]
-        logp = -_stirlerr(xs) - _bd0(xs, lam) - 0.5 * np.log(2.0 * math.pi * xs)
-        out[~zero] = np.exp(logp)
+        out[~zero] = _saddle_pmf(lam, xs, -_stirlerr(xs), 0.5 * np.log(2.0 * math.pi * xs))
     return float(out[0]) if np.isscalar(j) else out.reshape(np.shape(j))
+
+
+def poisson_pmf_windows(lams, lo, hi):
+    """Poisson pmfs at many rates, one count window each.
+
+    Yields, for each i in order, the pmf of rate lams[i] at the counts
+    lo[i]..hi[i] (empty when hi[i] < lo[i]), byte-equal to
+    poisson_pmf(lams[i], np.arange(lo[i], hi[i] + 1)).  The count-only
+    terms of the saddle point are computed once over 1..max(hi), so each
+    window pays only its rate's deviance and exp; one window is built at a
+    time, so memory stays that of the largest window.
+    """
+    lams = np.asarray(lams, dtype=float)
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    if np.any(lams < 0):
+        raise DomainError("rate must be >= 0")
+    if np.any(lo < 0):
+        raise DomainError("count must be >= 0")
+    counts = np.arange(max(int(hi.max(initial=0)), 0) + 1, dtype=float)
+    neg_stirlerr = np.zeros_like(counts)
+    half_log = np.zeros_like(counts)
+    neg_stirlerr[1:] = -_stirlerr(counts[1:])
+    half_log[1:] = 0.5 * np.log(2.0 * math.pi * counts[1:])
+    for lam, a, b in zip(lams.tolist(), lo.tolist(), hi.tolist()):
+        out = np.zeros(max(b - a + 1, 0))
+        if out.size and a == 0:
+            out[0] = 1.0 if lam == 0.0 else math.exp(-lam)
+        s = max(a, 1)
+        if lam != 0.0 and s <= b:
+            window = slice(s, b + 1)
+            out[s - a :] = _saddle_pmf(lam, counts[window], neg_stirlerr[window], half_log[window])
+        yield out
 
 
 def binomial_pmf(n: int, q: float, j) -> np.ndarray | float:

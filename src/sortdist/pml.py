@@ -41,6 +41,7 @@ __all__ = [
     "min_prob_round",
     "brute_force_pml",
     "good_set",
+    "good_profiles",
     "check_goodset_lemma",
     "chain_params",
     "covering_constants",
@@ -312,9 +313,20 @@ def good_set(
     """
     if n > EXACT_SCALE_N:
         raise ResourceLimitError(f"good-set enumeration capped at n <= {EXACT_SCALE_N}")
-    good = [phi for phi in enumerate_profiles(n) if loss(estimator(phi), p) <= eps]
+    good = good_profiles(estimator, p, eps, loss, enumerate_profiles(n))
     mass = sum(profile_probability(p, phi) for phi in good)
     return good, mass
+
+
+def good_profiles(
+    estimator: Callable[[Profile], AtomicMeasure],
+    p: DiscreteDistribution,
+    eps: float,
+    loss: Callable[[AtomicMeasure, DiscreteDistribution], float],
+    profiles: list[Profile],
+) -> list[Profile]:
+    """The profiles, in the given order, on which the estimator lands within eps of p."""
+    return [phi for phi in profiles if loss(estimator(phi), p) <= eps]
 
 
 def check_goodset_lemma(

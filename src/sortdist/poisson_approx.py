@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
-from .core import poisson_pmf
+from .core import poisson_pmf_windows
 from .errors import DomainError, RateMismatchError
 from .intervals import IntervalScheme, build_scheme
 from .moments import D_MAX, charlier_family, degree_for
@@ -247,18 +247,24 @@ def glue(
     return out
 
 
-def evaluate(poly: PoissonPolynomial, x: float) -> float:
-    """Direct coefficient-sum evaluation, tail-truncated below 1e-13 mass."""
-    lam = poly.n * x
-    if lam < 0:
-        raise DomainError("x must be >= 0")
-    hw = 40.0 * math.sqrt(lam + 1.0) + 40.0
-    lo = max(0, int(lam - hw))
-    hi = min(poly.coeffs.size - 1, int(lam + hw))
-    if hi < lo:
-        return 0.0
-    j = np.arange(lo, hi + 1)
-    return float(poly.coeffs[lo : hi + 1] @ poisson_pmf(lam, j))
+def evaluate(poly: PoissonPolynomial, x):
+    """sum_j b_j P(Poisson(n x) = j), at one x (a float) or elementwise over an array.
+
+    Each x sums the counts within 10 sqrt(nx + 1) + 40 of nx.  By Bernstein's
+    inequality the Poisson mass beyond that window is below e^-50 on each
+    side; computed exactly it is at most 4e-24 for rates nx in [1e-4, 7e4].
+    """
+    xs = np.asarray(x, dtype=float)
+    lam = poly.n * xs.ravel()
+    if not np.all(np.isfinite(lam) & (lam >= 0)):
+        raise DomainError("x must be a finite number >= 0")
+    hw = 10.0 * np.sqrt(lam + 1.0) + 40.0
+    top = poly.coeffs.size - 1
+    lo = np.clip(lam - hw, 0, top + 1).astype(np.int64)
+    hi = np.clip(lam + hw, 0, top).astype(np.int64)
+    windows = poisson_pmf_windows(lam, lo, hi)
+    out = np.array([poly.coeffs[a : b + 1] @ pmf for a, b, pmf in zip(lo.tolist(), hi.tolist(), windows)])
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def _support_cut(n: int, delta: float) -> int:
@@ -336,7 +342,7 @@ def verify_bounds(
         np.concatenate([np.linspace(0.0, 1.0, 513), np.geomspace(1.0 / (4 * n), 0.05, 160)])
     )
     f_vals = np.asarray([f(float(x)) for x in x_grid])
-    F_vals = np.asarray([evaluate(poly, float(x)) for x in x_grid])
+    F_vals = evaluate(poly, x_grid)
     weights = np.sqrt(np.maximum(x_grid, 1.0 / n) / (n * math.log(n)))
     sup_err = float(np.abs(f_vals - F_vals).max())
     sup_weighted = float((np.abs(f_vals - F_vals) / weights).max())

@@ -22,6 +22,7 @@ from sortdist.core import (
     monomial_symmetric,
     poisson_interval_prob,
     poisson_pmf,
+    poisson_pmf_windows,
     profile_of_histogram,
     profile_probability,
     sorted_l1,
@@ -283,6 +284,23 @@ class TestPmfKernels:
             poisson_pmf(1.0, -1)
         with pytest.raises(DomainError):
             binomial_pmf(3, 1.5, 0)
+
+    def test_poisson_windows_are_byte_equal_to_poisson_pmf(self):
+        # zero rates, windows from count 0, one-count, empty and far windows
+        lams = [0.0, 0.0, 1e-4, 0.7, 3.0, 15.5, 16.0, 250.0, 4096.0, 65536.0, 9.0]
+        lo = [0, 2, 0, 0, 1, 0, 3, 100, 3900, 65000, 5]
+        hi = [4, 6, 40, 0, 1, 80, 60, 400, 4300, 66000, 4]
+        windows = list(poisson_pmf_windows(np.asarray(lams), lo, hi))
+        assert len(windows) == len(lams)
+        for lam, a, b, got in zip(lams, lo, hi, windows):
+            want = poisson_pmf(lam, np.arange(a, b + 1))
+            assert got.tobytes() == want.tobytes()
+
+    def test_poisson_windows_domain_errors(self):
+        with pytest.raises(DomainError):
+            list(poisson_pmf_windows([1.0, -1.0], [0, 0], [3, 3]))
+        with pytest.raises(DomainError):
+            list(poisson_pmf_windows([1.0], [-1], [3]))
 
     def test_poisson_cdf_matches_pmf_sum(self):
         rng = np.random.default_rng(8)

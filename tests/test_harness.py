@@ -8,9 +8,13 @@ import pytest
 from sortdist.cli import main as cli_main
 from sortdist.core import DiscreteDistribution, Histogram, poisson_interval_prob, poisson_pmf
 from sortdist.errors import DomainError, ResourceLimitError
+from sortdist import harness
 from sortdist.harness import (
+    COMPETITIVE_C1,
     ExperimentConfig,
     TrialRecord,
+    coefficients_to_csv,
+    error_curve_to_csv,
     make_distribution,
     parse_function,
     run_approx_sweep,
@@ -33,7 +37,7 @@ from sortdist import pml as pml_module
 from sortdist.intervals import build_scheme
 from sortdist.moments import degree_for
 from sortdist.pml import PML_RESOLUTION_CAP
-from sortdist.poisson_approx import build_poisson_approximation, naive_coefficients, verify_bounds
+from sortdist.poisson_approx import build_poisson_approximation, evaluate, naive_coefficients, verify_bounds
 
 
 class TestSampling:
@@ -238,6 +242,35 @@ class TestCompetitive:
         with pytest.raises(ResourceLimitError):
             run_competitive_check(ExperimentConfig(n=13, k=3))
 
+    def test_report_echoes_the_scheme_c1(self, monkeypatch):
+        seen = []
+
+        def spy(n, c1, variant):
+            seen.append(c1)
+            return build_scheme(n, c1, variant)
+
+        monkeypatch.setattr(harness, "build_scheme", spy)
+        rep = run_competitive_check(ExperimentConfig(n=5, k=3, eps=0.6, c2=1.0))
+        assert seen == [COMPETITIVE_C1]
+        assert rep["config"]["c1"] == COMPETITIVE_C1
+
+    def test_good_set_mass_equals_good_set(self, monkeypatch):
+        # the report sums the row probabilities; good_set sums its own
+        calls = []
+
+        def spy(estimator, p, eps, loss, profiles):
+            calls.append((estimator, p, eps, loss))
+            return pml_module.good_profiles(estimator, p, eps, loss, profiles)
+
+        monkeypatch.setattr(harness, "good_profiles", spy)
+        for dist in ("uniform", "zipf:1"):
+            calls.clear()
+            rep = run_competitive_check(ExperimentConfig(n=6, k=3, dist=dist, eps=0.6, c2=1.0))
+            (args,) = calls
+            good, mass = pml_module.good_set(*args, 6)
+            assert rep["good_set_size"] == len(good)
+            assert rep["good_set_mass"] == mass
+
     def test_runs_at_the_scale_cap(self):
         rep = run_competitive_check(ExperimentConfig(n=12, k=4, dist="uniform", eps=0.6, c2=1.0))
         assert len(rep["pml"]) == 77  # the partitions of 12
@@ -261,6 +294,29 @@ class TestApproxSweep:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             run_approx_sweep("abs", [2**17])
+
+    def test_pointwise_values_are_the_scalar_evaluations(self):
+        f = parse_function("abs")
+        result = run_approx_sweep("abs", [1024])
+        poly, naive = result["objects"][1024]
+        for x in (0.25, 0.5):
+            row = result["report"]["rows"][0]["pointwise_vs_naive"][str(x)]
+            assert row["glued_error"] == abs(evaluate(poly, x) - f(x))
+            assert row["naive_error"] == abs(evaluate(naive, x) - f(x))
+
+    def test_csv_fields_are_plain_numbers(self):
+        f = parse_function("abs")
+        poly = build_poisson_approximation(f, 1024)
+        coeff_rows = [line.split(",") for line in coefficients_to_csv(poly, f).splitlines()[1:]]
+        error_rows = [line.split(",") for line in error_curve_to_csv(poly, f).splitlines()[1:]]
+        assert len(coeff_rows) == poly.coeffs.size and len(error_rows) == 257
+        for row in coeff_rows + error_rows:
+            [float(field) for field in row]
+        b = np.asarray([float(row[1]) for row in coeff_rows])
+        assert b.tobytes() == poly.coeffs.tobytes()
+        xs = np.linspace(0.0, 1.0, 257)
+        approx = np.asarray([float(row[2]) for row in error_rows])
+        assert approx.tobytes() == evaluate(poly, xs).tobytes()
 
 
 def run_cli(args):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sortdist import poisson_approx
-from sortdist.core import binom_half_logpmf, binomial_pmf, poisson_pmf
+from sortdist.core import binom_half_logpmf, binomial_pmf, poisson_interval_prob, poisson_pmf
 from sortdist.errors import DomainError, RateMismatchError
 from sortdist.harness import parse_function
 from sortdist.intervals import build_scheme
@@ -43,6 +43,27 @@ def evaluate_blocked(poly, x):
     jmax = min(cut, int(lam_full + 40.0 * math.sqrt(lam_full + 1.0) + 40.0))
     f0_weight = float(poisson_pmf(lam_full, np.arange(0, jmax + 1)).sum()) if poly.f0 else 0.0
     return total + poly.f0 * f0_weight
+
+
+def evaluate_wide(poly, x):
+    """The scalar evaluation over a 40-sd window, the reference for `evaluate`."""
+    lam = poly.n * x
+    if lam < 0:
+        raise DomainError("x must be >= 0")
+    hw = 40.0 * math.sqrt(lam + 1.0) + 40.0
+    lo = max(0, int(lam - hw))
+    hi = min(poly.coeffs.size - 1, int(lam + hw))
+    if hi < lo:
+        return 0.0
+    j = np.arange(lo, hi + 1)
+    return float(poly.coeffs[lo : hi + 1] @ poisson_pmf(lam, j))
+
+
+def verify_grid(n):
+    """The x grid of `verify_bounds` at n."""
+    return np.unique(
+        np.concatenate([np.linspace(0.0, 1.0, 513), np.geomspace(1.0 / (4 * n), 0.05, 160)])
+    )
 
 
 def piecewise_lipschitz(rng, pieces=6):
@@ -362,3 +383,51 @@ class TestFullConstruction:
             f_n1 = c_n1[np.floor(ts * (n + 1) + 1e-12).astype(int) + 1]
             worst_scaled = max(worst_scaled, float(np.max(np.abs(f_n1 - f_n))) * math.sqrt(n))
         assert worst_scaled <= 2.0
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("n", [2**10, 2**12, 2**14, 2**16])
+    def test_matches_the_wide_window(self, n):
+        f = parse_function("abs")
+        xs = np.unique(np.concatenate([verify_grid(n), [0.25, 0.5]]))
+        for poly in (build_poisson_approximation(f, n), naive_coefficients(f, n)):
+            got = evaluate(poly, xs)
+            want = np.asarray([evaluate_wide(poly, float(x)) for x in xs])
+            zero = want == 0.0
+            assert np.all(np.abs(got[zero]) <= 1e-16)
+            assert np.all(np.abs(got - want)[~zero] <= 1e-13 * np.abs(want[~zero]))
+
+    def test_array_call_is_byte_equal_to_scalar_calls(self):
+        poly = build_poisson_approximation(parse_function("abs"), 2**10)
+        xs = np.concatenate([verify_grid(2**10), [0.25, 0.5, 3.0, 1e6]])
+        scalars = [evaluate(poly, float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        assert evaluate(poly, xs).tobytes() == np.asarray(scalars).tobytes()
+        grid = xs[:12].reshape(3, 4)
+        assert evaluate(poly, grid).shape == (3, 4)
+        assert evaluate(poly, grid).tobytes() == np.asarray(scalars[:12]).tobytes()
+        assert evaluate(poly, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-9, -1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_x(self, bad):
+        poly = naive_coefficients(parse_function("abs"), 64)
+        with pytest.raises(DomainError):
+            evaluate(poly, bad)
+        with pytest.raises(DomainError):
+            evaluate(poly, np.array([0.1, 0.5, bad, 0.7]))
+
+    def test_window_leaves_out_less_than_1e_minus_20(self):
+        # the window of `evaluate` at rate lam, uncapped by the coefficients;
+        # the upper tail is gammainc(hi + 1, lam) directly, because
+        # poisson_interval_prob forms it as a difference of two values near 1
+        from scipy.special import gammainc
+
+        lams = np.unique(np.concatenate([[0.0], np.geomspace(1e-4, 7e4, 400), np.linspace(0.0, 7e4, 701)]))
+        worst = 0.0
+        for lam in lams.tolist():
+            hw = 10.0 * math.sqrt(lam + 1.0) + 40.0
+            lo, hi = max(0, int(lam - hw)), int(lam + hw)
+            below = poisson_interval_prob(lam, 0, lo - 1)
+            above = float(gammainc(hi + 1.0, lam))
+            worst = max(worst, below + above)
+        assert worst < 1e-20
