@@ -7,7 +7,6 @@ scale, the sorted-l1 distance, and stable Poisson/binomial pmf kernels.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ _MERGE_TOL = 1e-14
 
 PROFILE_ENUM_CAP = 20
 EXACT_SCALE_N = 12
-EXACT_SCALE_K = 8
 
 
 @dataclass(frozen=True)
@@ -256,55 +254,41 @@ def enumerate_profiles(n: int) -> list[Profile]:
     return [Profile(np.bincount(parts, minlength=n + 1)[1:]) for parts in _partitions(n, n, n)]
 
 
-@lru_cache(maxsize=4096)
-def _assignment_index_tuples(parts: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct ways to place the multiset `parts` onto k labelled slots.
-
-    Each returned tuple lists, per part position, the chosen slot; tuples for
-    equal part values are generated with combinations so no assignment of the
-    multiset is listed twice.
-    """
-    groups: list[tuple[int, int]] = []  # (value, multiplicity), values distinct
-    for value in sorted(set(parts), reverse=True):
-        groups.append((value, parts.count(value)))
-
-    def rec(remaining: frozenset[int], gi: int):
-        if gi == len(groups):
-            yield ()
-            return
-        _, mult = groups[gi]
-        for chosen in itertools.combinations(sorted(remaining), mult):
-            for rest in rec(remaining - set(chosen), gi + 1):
-                yield chosen + rest
-    return tuple(rec(frozenset(range(k)), 0))
-
-
 def monomial_symmetric(p_rows: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
-    """m_lambda evaluated at each row of p_rows, lambda given by `parts`."""
+    """m_lambda evaluated at each row of p_rows, lambda given by `parts`.
+
+    A dynamic program over the k symbols: the state counts, per distinct
+    part value v, the parts of value v placed so far, and each symbol takes
+    no part or one part of value v with weight p_j^v.  The cost is
+    k * prod_v (mult_v + 1) * (distinct values) per row, mult_v being the
+    number of parts equal to v.  More parts than k never reach the full
+    state, so the result is exactly 0.
+    """
     rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
-    k = rows.shape[1]
-    # in decreasing order, the order _assignment_index_tuples places them in;
-    # more parts than k leave no placement, and the sum below stays 0
-    parts = tuple(sorted(parts, reverse=True))
-    assignments = _assignment_index_tuples(parts, k)
-    exps = np.asarray(parts, dtype=float)
-    out = np.zeros(rows.shape[0])
-    for idx in assignments:
-        out += np.prod(rows[:, list(idx)] ** exps, axis=1)
-    return out
+    values, mults = np.unique(np.asarray(parts, dtype=np.int64), return_counts=True)
+    # an array exponent takes pow for every v; numpy's scalar fast path
+    # squares by x*x, which can round apart from pow in the last bit
+    powers = rows.T ** values[:, None, None]
+    # the row axis last, so each transition is one contiguous broadcast
+    state = np.zeros((*(mults + 1), rows.shape[0]))
+    state[(0,) * values.size] = 1.0
+    for j in range(rows.shape[1]):
+        prev = state.copy()
+        for axis, pw in enumerate(powers):
+            before = (slice(None),) * axis
+            state[before + (slice(1, None),)] += prev[before + (slice(None, -1),)] * pw[j]
+    return state[tuple(mults.tolist())]
 
 
 def profile_probability(p: DiscreteDistribution, phi: Profile) -> float:
     """Exact probability of observing the profile under n i.i.d. draws from p.
 
-    Enumerates histograms sharing the profile (never raw sequences), so the
-    cost is combinatorial in the number of distinct placements, not k^n.
+    The profile's sequences per histogram, n!/prod_i (i!)^phi_i, times the
+    monomial symmetric polynomial of its parts at p; the polynomial is a
+    dynamic program over p's symbols, so the cost is polynomial in k.
     """
-    n = phi.n
-    if n > EXACT_SCALE_N or p.k > EXACT_SCALE_K:
-        raise ResourceLimitError(
-            f"exact profile probability capped at n <= {EXACT_SCALE_N}, k <= {EXACT_SCALE_K}"
-        )
+    if phi.n > EXACT_SCALE_N:
+        raise ResourceLimitError(f"exact profile probability capped at n <= {EXACT_SCALE_N}")
     return float(profile_probability_many(p.masses[None, :], phi)[0])
 
 

@@ -251,7 +251,10 @@ def brute_force_pml(
         # every row and every candidate scores 0, so the ascent cannot move
         return DiscreteDistribution(rows[0].copy()), 0.0
     probs = profile_probability_many(rows, phi)
-    best = int(np.argmax(probs))
+    # the first row within the ascent's gain tolerance of the best: on the
+    # profile of one draw every row scores 1 up to rounding, and this
+    # keeps float noise from picking the start
+    best = int(np.argmax(probs >= probs.max() * (1 - 1e-12)))
     masses = rows[best].copy()
     best_prob = float(probs[best])
 

@@ -144,6 +144,28 @@ class TestEnumerateProfiles:
                     assert list(_partitions(n, max_part, max_parts)) == want
 
 
+def _monomial_symmetric_by_placements(p_rows, parts):
+    """Oracle: m_lambda as the sum over every distinct placement of the
+    multiset `parts` onto the k slots, each slot taking at most one part."""
+    rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
+    k = rows.shape[1]
+    values = sorted(set(parts), reverse=True)
+
+    def placements(free, gi):
+        if gi == len(values):
+            yield ()
+            return
+        for chosen in itertools.combinations(sorted(free), parts.count(values[gi])):
+            for rest in placements(free - set(chosen), gi + 1):
+                yield chosen + rest
+
+    idx = np.asarray(list(placements(frozenset(range(k)), 0)), dtype=np.intp)
+    if idx.size == 0:  # more parts than slots
+        return np.zeros(rows.shape[0])
+    exps = np.repeat(np.asarray(values, dtype=float), [parts.count(v) for v in values])
+    return np.prod(rows[:, idx] ** exps, axis=2).sum(axis=1)
+
+
 def _profile_probability_by_sequences(p, phi):
     """Oracle: enumerate all k^n ordered sequences (tiny scale only)."""
     k, n = p.k, phi.n
@@ -201,10 +223,34 @@ class TestProfileProbability:
             for perm in set(itertools.permutations(parts)):
                 assert monomial_symmetric(rows, perm).tobytes() == want
 
+    def test_monomial_symmetric_matches_the_placement_sum(self):
+        rng = np.random.default_rng(7)
+        for k in (1, 3, 5, 8):
+            rows = rng.dirichlet(np.ones(k), size=7)
+            for n in range(1, 13):
+                for phi in enumerate_profiles(n):
+                    parts = phi.parts()
+                    got = monomial_symmetric(rows, parts)
+                    if len(parts) > k:
+                        assert np.all(got == 0.0), (k, parts)
+                        continue
+                    want = _monomial_symmetric_by_placements(rows, parts)
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"{k} {parts}")
+
     def test_scale_cap(self):
-        p = dist(*([1.0 / 9] * 9))
         with pytest.raises(ResourceLimitError):
-            profile_probability(p, enumerate_profiles(3)[0])
+            profile_probability(dist(0.5, 0.5), enumerate_profiles(13)[0])
+
+    def test_large_support(self):
+        # k is not capped
+        rng = np.random.default_rng(9)
+        p = random_dist(rng, 12)
+        total = sum(profile_probability(p, phi) for phi in enumerate_profiles(6))
+        assert total == pytest.approx(1.0, abs=1e-12)
+        p = random_dist(rng, 10)
+        for phi in enumerate_profiles(4):
+            want = _profile_probability_by_sequences(p, phi)
+            assert profile_probability(p, phi) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestSortedL1:

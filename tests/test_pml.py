@@ -184,6 +184,16 @@ class TestMinProbRound:
         p = DiscreteDistribution([1.0])
         assert np.allclose(min_prob_round(p, phi).masses, [1.0])
 
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5])
+    def test_rounds_the_one_draw_pml(self, k_max):
+        # every distribution gives the one-draw profile likelihood 1, so the
+        # search must not start from a row that float noise favours: a row
+        # with masses below the floor 1/2 cannot be rounded
+        phi = profile_of_histogram(Histogram([1]))
+        pml, _ = brute_force_pml(phi, k_max=k_max)
+        out = min_prob_round(pml, phi)
+        assert out.masses.tolist() == [1.0] + [0.0] * (k_max - 1)
+
     def test_all_predicates_on_random_instances(self):
         rng = np.random.default_rng(3)
         checked = 0
@@ -264,7 +274,7 @@ def one_pair_at_a_time_pml(phi, k_max=5, grid_resolution=60):
     ascent_steps = pml_module.ASCENT_STEPS
     rows = pml_module._sorted_grid_rows(grid_resolution, k_max)
     probs = profile_probability_many(rows, phi)
-    best = int(np.argmax(probs))
+    best = int(np.argmax(probs >= probs.max() * (1 - 1e-12)))
     masses = rows[best].copy()
     best_prob = float(probs[best])
     step = 1.0 / grid_resolution
