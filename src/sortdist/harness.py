@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+# profile_probability_many is called as core.profile_probability_many, so
+# the benchmark's trace, which hooks that name, sees each call
+from . import core
 from .core import (
     EXACT_SCALE_N,
     DiscreteDistribution,
@@ -243,16 +246,14 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     delta_emp = 1.0 - good_mass
 
     eps_prime = 0.0
-    indicator_sum = 0.0
+    rounded_good = []
     pml_rows = []
     for phi, prob, phi_good in zip(profiles, probs, is_good):
         pml, like = brute_force_pml(phi, k_max=k)
         rounded = min_prob_round(pml, phi)
         eps_prime = max(eps_prime, sorted_l1(pml, rounded))
         if phi_good:
-            rounded_good_mass = sum(profile_probability(rounded, g) for g in good)
-            if rounded_good_mass <= delta_emp:
-                indicator_sum += prob
+            rounded_good.append(rounded.masses)
         pml_rows.append(
             {
                 "profile": phi.to_sparse_json(),
@@ -262,6 +263,16 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
                 "sorted_l1_to_truth": sorted_l1(pml, p),
             }
         )
+    # the good mass of each good profile's rounded PML, one call per good
+    # profile g; a column sums its values in g order
+    indicator_sum = 0.0
+    if good:
+        rounded_rows = np.stack(rounded_good)
+        by_g = np.asarray([core.profile_probability_many(rounded_rows, g) for g in good])
+        good_probs = [prob for prob, g in zip(probs, is_good) if g]
+        for column, prob in zip(by_g.T, good_probs):
+            if sum(column.tolist()) <= delta_emp:
+                indicator_sum += prob
     # eps_prime is a max over every profile, so this pass comes after
     direct_failure = 0.0
     for row in pml_rows:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sortdist.cli import main as cli_main
-from sortdist.core import DiscreteDistribution, Histogram, poisson_interval_prob, poisson_pmf
+from sortdist.core import DiscreteDistribution, Histogram, poisson_interval_prob, poisson_pmf, profile_probability
 from sortdist.errors import DomainError, ResourceLimitError
 from sortdist import harness
 from sortdist.harness import (
@@ -270,6 +270,32 @@ class TestCompetitive:
             good, mass = pml_module.good_set(*args, 6)
             assert rep["good_set_size"] == len(good)
             assert rep["good_set_mass"] == mass
+
+    # the indicator sum is positive on the two uniform cases and 0 on zipf:1
+    @pytest.mark.parametrize("n,k,dist", [(5, 4, "uniform"), (8, 5, "uniform"), (8, 4, "zipf:1")])
+    def test_indicator_term_equals_the_pair_at_a_time_sum(self, monkeypatch, n, k, dist):
+        # one batched call per good profile, summed in good-set order, gives
+        # the bytes of one profile_probability call per pair
+        goods = []
+
+        def spy(estimator, p, eps, loss, profiles):
+            goods.append(pml_module.good_profiles(estimator, p, eps, loss, profiles))
+            return goods[-1]
+
+        monkeypatch.setattr(harness, "good_profiles", spy)
+        rep = run_competitive_check(ExperimentConfig(n=n, k=k, dist=dist, eps=0.6, c2=1.0))
+        (good,) = goods
+        want = 0.0
+        for phi in good:
+            rounded = pml_module.min_prob_round(pml_module.brute_force_pml(phi, k_max=k)[0], phi)
+            if sum(profile_probability(rounded, g) for g in good) <= rep["delta_empirical"]:
+                want += profile_probability(make_distribution(dist, k), phi)
+        assert rep["indicator_bound_term"] == want + rep["delta_empirical"]
+
+    def test_empty_good_set(self):
+        rep = run_competitive_check(ExperimentConfig(n=5, k=3, dist="uniform", eps=1e-9, c2=1.0))
+        assert rep["good_set_size"] == 0
+        assert rep["indicator_bound_term"] == rep["delta_empirical"] == 1.0
 
     def test_runs_at_the_scale_cap(self):
         rep = run_competitive_check(ExperimentConfig(n=12, k=4, dist="uniform", eps=0.6, c2=1.0))

@@ -8,10 +8,10 @@ CLI determinism criterion (estimate, benchmark, competitive, approx, pml),
 a (1e4, 5000) `zipf:1` benchmark of 3 trials at seed 101, the competitive
 checks of the `pml-desk` benchmark workload (n = 8, k = 4, eps = 0.6,
 c2 = 1 on `uniform`, `two-level` and `zipf:1`), and a k_max = 5 PML whose
-ascent spends its whole step budget.  Outputs go
-under `--out`, one directory per command.  Prints one JSON object mapping
-each output file, relative to `--out`, to its SHA-256, so equal outputs are
-one `diff` of the two printed objects.
+ascent runs through many sweeps.  Outputs go under `--out`, one directory
+per command.  Prints one JSON object mapping each output file, relative to
+`--out`, to its SHA-256, so equal outputs are one `diff` of the two printed
+objects.
 """
 
 from __future__ import annotations
