@@ -25,6 +25,12 @@ every grid column gets its exact reduced cost from the same rows, and each
 interval's cheapest one joins the tableau.  The lexicographic optimum
 continues in the same tableau: once no column prices out on the objective,
 the row objective <= optimum is appended and the next moment is minimized.
+
+Only the right-hand side b and the constant tail cost read the histogram.
+The rest of the LP (the grids, the column source A, the slack costs c and
+the next-moment cost) depends on the scheme, k and the moment depth alone,
+and is built once per (scheme, k, depth): the module keeps the last such
+skeleton, read-only, and every LP of the same three shares its arrays.
 """
 
 from __future__ import annotations
@@ -111,11 +117,17 @@ class GridColumns:
         templates[2 * res + 1, slack] = -1.0
         templates[2 * n_res, :n_int] = 1.0
         self._templates = templates
+        # every LP of one (scheme, k, depth) shares this source
+        for a in self._held:
+            a.flags.writeable = False
+
+    @property
+    def _held(self) -> tuple[np.ndarray, ...]:
+        return (self._moments, self.points, self._ends, self.start, self._degree_rows, self._templates)
 
     @property
     def nbytes(self) -> int:
-        held = (self._moments, self.points, self._ends, self.start, self._degree_rows, self._templates)
-        return sum(a.nbytes for a in held)
+        return sum(a.nbytes for a in self._held)
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key
@@ -191,21 +203,34 @@ class EstimateResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance:
-    """Assemble the LP over grid atom weights plus one slack per residual term.
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """The histogram-free part of the LP of one (scheme, k, depth), with
+    its arrays read-only."""
 
-    Weight variables live on a uniform grid per enlarged interval, restricted
-    to the part inside [0, 1]; intervals entirely beyond 1 cannot carry mass,
-    so only their (constant) cumulative-mass residuals enter the objective.
+    scheme: IntervalScheme
+    k: int
+    depth: int
+    grids: tuple[np.ndarray, ...]
+    m_included: tuple[int, ...]
+    n_weights: int
+    A: GridColumns
+    c: np.ndarray
+    secondary: np.ndarray
 
-    Interval m (the mi-th included one) owns rows 2(D+1)mi .. 2(D+1)(mi+1)-1:
-    a +/- pair per degree 1..D, then a pair for the cumulative mass over
-    m' >= m; the mass and mean rows come last.  Its slacks follow the weights
-    in the order cumulative, degree 1..D.
-    """
-    depth = targets.depth
-    if targets.M != scheme.M:
-        raise DomainError("moment table and scheme disagree on interval count")
+
+# The last skeleton built.  Holding its scheme keeps the scheme's id from
+# being reused, so a hit is the very scheme object, whatever its fields.
+_last_skeleton: _Skeleton | None = None
+
+
+def _skeleton(scheme: IntervalScheme, k: int, depth: int) -> _Skeleton:
+    """The grids, A, c and next-moment cost of the LP, built on the first
+    call for (scheme, k, depth) and returned from the memo after that."""
+    global _last_skeleton
+    last = _last_skeleton
+    if last is not None and last.scheme is scheme and last.k == k and last.depth == depth:
+        return last
 
     included: list[int] = []
     grids: list[np.ndarray] = []
@@ -221,16 +246,12 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
 
     ends = np.cumsum([g.size for g in grids])
     points = np.concatenate(grids)
-    grids = np.split(points, ends[:-1])
     n_w = points.size
     n_res = (depth + 1) * len(included)   # one residual, and one slack, per (m, d)
     moments = np.zeros((depth, n_w))
-    b = np.zeros(2 * n_res + 2)
     c = np.zeros(n_w + n_res)
     secondary = np.zeros(n_w + n_res)
-    pos_b = b[0:2 * n_res:2]
 
-    cum_targets = np.concatenate([np.cumsum(targets.values[::-1, 0])[::-1], [0.0]])
     power = depth + 1
     for mi, (m, xg, end) in enumerate(zip(included, grids, ends)):
         i = m - 1
@@ -240,10 +261,51 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
         r = mi * (depth + 1)
         for d in range(1, depth + 1):
             moments[d - 1, cols] = k * offset**d / tl**d
-            pos_b[r + d - 1] = targets.value(m, d) / tl**d
-        pos_b[r + depth] = float(cum_targets[i])
         c[n_w + r:n_w + r + depth + 1] = tl
         secondary[cols] = tl * k * offset**power / tl**power
+    A = GridColumns(moments, points, ends, depth, k)
+    c.flags.writeable = False
+    secondary.flags.writeable = False
+    # views of the read-only points
+    grids = tuple(np.split(points, ends[:-1]))
+    _last_skeleton = _Skeleton(scheme, k, depth, grids, tuple(included), n_w, A, c, secondary)
+    return _last_skeleton
+
+
+def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance:
+    """Assemble the LP over grid atom weights plus one slack per residual term.
+
+    Weight variables live on a uniform grid per enlarged interval, restricted
+    to the part inside [0, 1]; intervals entirely beyond 1 cannot carry mass,
+    so only their (constant) cumulative-mass residuals enter the objective.
+
+    Interval m (the mi-th included one) owns rows 2(D+1)mi .. 2(D+1)(mi+1)-1:
+    a +/- pair per degree 1..D, then a pair for the cumulative mass over
+    m' >= m; the mass and mean rows come last.  Its slacks follow the weights
+    in the order cumulative, degree 1..D.
+
+    Only b and `objective_const` are built from the targets.  The grids, A,
+    c and `secondary` are built once per (scheme object, k, depth) and are
+    read-only: consecutive LPs of the same three share them (the module
+    docstring says how).
+    """
+    depth = targets.depth
+    if targets.M != scheme.M:
+        raise DomainError("moment table and scheme disagree on interval count")
+    skeleton = _skeleton(scheme, k, depth)
+    included = skeleton.m_included
+
+    n_res = (depth + 1) * len(included)
+    b = np.zeros(2 * n_res + 2)
+    pos_b = b[0:2 * n_res:2]
+    cum_targets = np.concatenate([np.cumsum(targets.values[::-1, 0])[::-1], [0.0]])
+    for mi, m in enumerate(included):
+        i = m - 1
+        tl = float(scheme.tilde_len[i])
+        r = mi * (depth + 1)
+        for d in range(1, depth + 1):
+            pos_b[r + d - 1] = targets.value(m, d) / tl**d
+        pos_b[r + depth] = float(cum_targets[i])
     np.negative(pos_b, out=b[1:2 * n_res:2])
     b[2 * n_res] = 1.0
     b[2 * n_res + 1] = 1.0 / k
@@ -253,8 +315,9 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
         const += float(scheme.tilde_len[m - 1]) * abs(float(cum_targets[m - 1]))
 
     return LPInstance(
-        c=c, A=GridColumns(moments, points, ends, depth, k), b=b, secondary=secondary, grids=grids,
-        m_included=included, n_weights=n_w, k=k, objective_const=const, targets=targets, scheme=scheme,
+        c=skeleton.c, A=skeleton.A, b=b, secondary=skeleton.secondary, grids=list(skeleton.grids),
+        m_included=list(included), n_weights=skeleton.n_weights, k=k, objective_const=const,
+        targets=targets, scheme=scheme,
     )
 
 

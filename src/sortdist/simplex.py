@@ -170,18 +170,20 @@ def simplex_solve(
     cols = np.arange(n) if price is None else np.unique(start)
     # equilibrate rows then columns so the fixed pivot tolerances are
     # meaningful regardless of the caller's units; rows are scaled over the
-    # start columns, so later columns leave the scaling alone
-    row_scale = _largest(A[:, cols], axis=1)
+    # start columns, so later columns leave the scaling alone; cut once
+    start_cut = A[:, cols]
+    row_scale = _largest(start_cut, axis=1)
 
-    def scaled(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Columns J of the equilibrated system and their column scales."""
-        M = A[:, J] / row_scale[:m, None]
+    def scaled(J: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Columns J of the equilibrated system, from their cut A[:, J], and
+        their column scales."""
+        M = cut / row_scale[:m, None]
         scale = _largest(M, axis=0)
         if row_scale.size > m:  # the lexicographic stage's row c.x <= opt
             M = np.vstack([M, c[J] / row_scale[m]])
         return M / scale, scale
 
-    M, col_scale = scaled(cols)
+    M, col_scale = scaled(cols, start_cut)
     in_tableau = np.zeros(n, dtype=bool)
     in_tableau[cols] = True
     T, basis, status, pivots = _phase_one(M, b / row_scale)
@@ -217,7 +219,7 @@ def simplex_solve(
             folded = cost if y.size == m else cost - y[m] * c
             cand = np.unique(price(y[:m], folded))
             cand = cand[~in_tableau[cand]]
-            M, scale = scaled(cand)
+            M, scale = scaled(cand, A[:, cand])
             new = T[:, slack] @ M
             new[-1] += cost[cand] / scale
             enter = new[-1] < -_TOL
@@ -235,11 +237,12 @@ def simplex_solve(
     # a warm tableau drifts, so the vertex is recomputed from the basis columns
     structural = basis < cols.size
     B = np.zeros((basis.size, basis.size))
-    B[:, structural], scale = scaled(cols[basis[structural]])
+    basic = cols[basis[structural]]
+    B[:, structural], scale = scaled(basic, A[:, basic])
     B[basis[~structural] - cols.size, np.flatnonzero(~structural)] = 1.0
     values = np.linalg.solve(B, np.append(b / row_scale[:m], opt / row_scale[m:]))
     x = np.zeros(n)
-    x[cols[basis[structural]]] = np.maximum(values[structural], 0.0) / scale
+    x[basic] = np.maximum(values[structural], 0.0) / scale
     # only an unbounded first stage makes the objective unbounded
     objective = -np.inf if status == "unbounded" and len(rounds) == 1 else float(c @ x)
     violation = _violation(A, b, x)

@@ -292,6 +292,22 @@ class TestCompetitive:
                 want += profile_probability(make_distribution(dist, k), phi)
         assert rep["indicator_bound_term"] == want + rep["delta_empirical"]
 
+    def test_pmls_on_the_bound_do_not_fail(self):
+        # against uniform on 5 symbols these three PMLs lie exactly 2 eps =
+        # 1.2 from p in sorted l1, and they read it give or take the last
+        # bit (two of them read 1.2000000000000002)
+        rep = run_competitive_check(ExperimentConfig(n=8, k=5, dist="uniform", eps=0.6, c2=1.0))
+        assert rep["eps_prime"] == 0.0
+        on_bound = [{"2": 1, "6": 1}, {"3": 1, "5": 1}, {"4": 2}]
+        rows = {json.dumps(json.loads(row["profile"])["phi"], sort_keys=True): row for row in rep["pml"]}
+        reads = [rows[json.dumps(phi, sort_keys=True)]["sorted_l1_to_truth"] for phi in on_bound]
+        assert reads == pytest.approx([1.2] * 3, rel=1e-15)
+        want = 0.0
+        for row in rep["pml"]:
+            if row["sorted_l1_to_truth"] > 1.2 + 1e-9:
+                want += row["probability"]
+        assert rep["direct_failure_probability"] == want > 0.0
+
     def test_empty_good_set(self):
         rep = run_competitive_check(ExperimentConfig(n=5, k=3, dist="uniform", eps=1e-9, c2=1.0))
         assert rep["good_set_size"] == 0

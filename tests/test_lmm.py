@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -383,6 +386,90 @@ def test_source_bytes_count_every_array_it_holds():
     A = desk_lp().A
     held = [v for v in vars(A).values() if isinstance(v, np.ndarray)]
     assert A.nbytes == sum(v.nbytes for v in held)
+
+
+def lp_bytes(lp):
+    """Every array of the LP, and its constant, as bytes."""
+    return {
+        "A": lp.A[:, np.arange(lp.A.shape[1])].tobytes(order="A"),
+        **{name: getattr(lp, name).tobytes() for name in ("b", "c", "secondary")},
+        "objective_const": lp.objective_const.hex(),
+        "grids": [g.tobytes() for g in lp.grids],
+    }
+
+
+def cold_lp(monkeypatch, targets, scheme, k):
+    """`build_lp` with the memo emptied first."""
+    monkeypatch.setattr(lmm, "_last_skeleton", None)
+    return build_lp(targets, scheme, k)
+
+
+class TestSkeletonMemo:
+    """The histogram-free part of the LP is built once per (scheme, k,
+    depth); the LP built from it is the LP built from nothing."""
+
+    @pytest.mark.parametrize("size", ["uniform", "two-level", "zipf:1", "desk"])
+    def test_warm_build_equals_cold(self, monkeypatch, size):
+        if size == "desk":
+            s, k = build_scheme(8, 1.0, "estimator"), 4
+            depth = degree_for(s.n, 1.0)
+            tables = [
+                moment_table_estimate(Histogram(h), s, depth, clamped=True) for h in ([3, 3, 2, 0], [5, 2, 1, 0])
+            ]
+        else:
+            s, k = build_scheme(10_000, DEFAULT_C1, "estimator"), 5000
+            p = make_distribution(size, k)
+            depth = degree_for(s.n, DEFAULT_C2)
+            tables = [
+                moment_table_estimate(sample_poissonized(p, s.n, substream(101, t)), s, depth, clamped=True)
+                for t in (1, 0)
+            ]
+        first = cold_lp(monkeypatch, tables[0], s, k)
+        warm = build_lp(tables[1], s, k)
+        assert warm.A is first.A and warm.c is first.c and warm.secondary is first.secondary
+        assert warm.b.tobytes() != first.b.tobytes()
+        cold = cold_lp(monkeypatch, tables[1], s, k)
+        assert cold.A is not warm.A
+        assert lp_bytes(warm) == lp_bytes(cold)
+
+    def test_each_key_gets_its_own_skeleton(self, monkeypatch):
+        s = build_scheme(10**3)
+        tab = zero_table(s, 2)
+        moved = dataclasses.replace(s, tilde_right=s.tilde_right * 0.99)
+        h = Histogram(np.random.default_rng(8).poisson(10.0, size=50))
+        deeper = moment_table_estimate(h, s, degree_for(s.n, 2 * DEFAULT_C2), clamped=True)
+        assert deeper.depth != degree_for(s.n, DEFAULT_C2) == 2
+        cases = {
+            "k": (tab, s, 6),
+            "depth": (deeper, s, 5),
+            "new scheme": (tab, build_scheme(10**3), 5),
+            "replaced scheme": (tab, moved, 5),
+        }
+        for name, args in cases.items():
+            ref = build_lp(tab, s, 5)
+            assert build_lp(tab, s, 5).A is ref.A
+            lp = build_lp(*args)
+            assert lp.A is not ref.A, name
+            assert lp_bytes(lp) == lp_bytes(cold_lp(monkeypatch, *args)), name
+        lp = build_lp(*cases["replaced scheme"])
+        assert lp.grids[0][-1] == moved.tilde_right[0] < ref.grids[0][-1]
+
+    def test_shared_arrays_are_read_only(self):
+        lp = desk_lp()
+        for array in (lp.c, lp.secondary, lp.grids[0], lp.A.points):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        lp.b[0] = 1.0  # each LP's own
+
+    def test_memo_holds_one_skeleton(self):
+        s = build_scheme(10**3)
+        first = build_lp(zero_table(s, 2), s, 5)
+        held = weakref.ref(first.A)
+        del first
+        build_lp(zero_table(s, 2), s, 6)
+        gc.collect()
+        assert held() is None
+        assert sum(isinstance(v, lmm._Skeleton) for v in vars(lmm).values()) == 1
 
 
 class TestSingleAtomRecovery:
