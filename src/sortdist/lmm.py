@@ -27,16 +27,17 @@ continues in the same tableau: once no column prices out on the objective,
 the row objective <= optimum is appended and the next moment is minimized.
 
 Only the right-hand side b and the constant tail cost read the histogram.
-The rest of the LP (the grids, the column source A, the slack costs c and
-the next-moment cost) depends on the scheme, k and the moment depth alone,
-and is built once per (scheme, k, depth): the module keeps the last such
-skeleton, read-only, and every LP of the same three shares its arrays.
+Everything else (the grids, the columns, the slack costs c and the
+next-moment cost) depends on the scheme, k and the moment depth alone and
+lives in one read-only `GridColumns`: the module keeps the last one built,
+every LP of the same three shares it, and an `LPInstance` reads them from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,8 +74,14 @@ def _grid_count(length: float, k: int, depth: int) -> int:
 
 
 class GridColumns:
-    """The estimator LP's constraint matrix A, cut into columns on demand,
-    with the start columns and the pricing oracle of its column generation.
+    """The histogram-free half of the estimator LP of one (scheme, k, depth),
+    every array read-only: its grids, its constraint matrix A, cut into
+    columns on demand, the slack costs c, the next-moment cost `secondary`,
+    and the start columns and pricing oracle of its column generation.
+
+    Weight variables live on a uniform grid per enlarged interval, restricted
+    to the part inside [0, 1]; intervals entirely beyond 1 cannot carry mass,
+    so only their (constant) cumulative-mass residuals enter the objective.
 
     A weight column at grid point x of the mi-th included interval holds
     k (x - c_m)^d / tl_m^d in the + row of each degree d, k in the +
@@ -92,16 +99,53 @@ class GridColumns:
     largest |entry|, so the start columns give the full LP's row scaling.
     """
 
-    def __init__(self, moments: np.ndarray, points: np.ndarray, ends: np.ndarray, depth: int, k: int):
+    def __init__(self, scheme: IntervalScheme, k: int, depth: int):
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise DomainError(f"k must be at least 1 and an integer, got {k!r}")
+        included: list[int] = []
+        grids: list[np.ndarray] = []
+        for m in range(1, scheme.M + 1):
+            lo = float(scheme.tilde_left[m - 1])
+            if lo >= 1.0:
+                break
+            hi = min(float(scheme.tilde_right[m - 1]), 1.0)
+            grids.append(np.linspace(lo, hi, _grid_count(hi - lo, k, depth)))
+            included.append(m)
+        if not included:
+            raise DomainError("no interval intersects [0, 1]")
+        self.scheme, self.k, self.depth = scheme, k, depth
+        self.m_included = tuple(included)    # 1-based intervals carrying weights
+        ends = np.cumsum([g.size for g in grids])
+        points = np.concatenate(grids)
+        n_w = points.size
+        n_int = len(included)
+        n_res = (depth + 1) * n_int          # one residual, and one slack, per (m, d)
+        moments = np.zeros((depth, n_w))
+        c = np.zeros(n_w + n_res)
+        secondary = np.zeros(n_w + n_res)
+
+        power = depth + 1
+        for mi, (m, xg, end) in enumerate(zip(included, grids, ends)):
+            i = m - 1
+            tl = float(scheme.tilde_len[i])
+            offset = xg - scheme.centers[i]
+            cols = slice(end - xg.size, end)
+            r = mi * (depth + 1)
+            for d in range(1, depth + 1):
+                moments[d - 1, cols] = k * offset**d / tl**d
+            c[n_w + r:n_w + r + depth + 1] = tl
+            secondary[cols] = tl * k * offset**power / tl**power
+
         self._moments = moments        # (D, n_w): the + degree rows on the weight columns
         self.points = points           # (n_w,): every grid point, the mean row
-        n_int = ends.size
-        n_res = (depth + 1) * n_int
-        self.shape = (2 * n_res + 2, points.size + n_res)
+        self.n_weights = n_w
+        self.c = c
+        self.secondary = secondary     # next-moment cost minimized over the optimal face
+        self.shape = (2 * n_res + 2, n_w + n_res)
         # one past the last column of each template: the intervals' weight
         # columns, then one slack each
-        self._ends = np.concatenate([ends, points.size + 1 + np.arange(n_res)])
-        self.start = np.concatenate([[0], ends[:-1], ends - 1, np.arange(points.size, self.shape[1])])
+        self._ends = np.concatenate([ends, n_w + 1 + np.arange(n_res)])
+        self.start = np.concatenate([[0], ends[:-1], ends - 1, np.arange(n_w, self.shape[1])])
         # the + row of each degree d = 1..D of each interval
         self._degree_rows = 2 * (depth + 1) * np.arange(n_int) + 2 * np.arange(depth)[:, None]
         templates = np.zeros((self.shape[0], n_int + n_res), order="F")
@@ -117,12 +161,14 @@ class GridColumns:
         templates[2 * res + 1, slack] = -1.0
         templates[2 * n_res, :n_int] = 1.0
         self._templates = templates
-        # every LP of one (scheme, k, depth) shares this source
-        for a in self._held:
+        for a in (*self._held, c, secondary):
             a.flags.writeable = False
+        # views of the read-only points, so read-only too
+        self.grids = tuple(np.split(points, ends[:-1]))
 
     @property
     def _held(self) -> tuple[np.ndarray, ...]:
+        """The arrays a column cut or a pricing call reads."""
         return (self._moments, self.points, self._ends, self.start, self._degree_rows, self._templates)
 
     @property
@@ -167,17 +213,22 @@ class GridColumns:
 
 @dataclass
 class LPInstance:
-    c: np.ndarray
+    """One histogram's estimator LP: the column source A, shared by every LP
+    of its (scheme, k, depth), and what the histogram decides.  The rest is
+    read from A, so an LP's costs and grids are always those of its columns."""
+
     A: GridColumns
     b: np.ndarray
-    secondary: np.ndarray          # next-moment cost minimized over the optimal face
-    grids: list[np.ndarray]        # grid locations per included interval
-    m_included: list[int]          # 1-based interval indices carrying weight vars
-    n_weights: int
-    k: int
     objective_const: float         # tail-residual cost of intervals beyond the cover
     targets: MomentTable
-    scheme: IntervalScheme
+
+    c = property(lambda lp: lp.A.c)
+    secondary = property(lambda lp: lp.A.secondary)
+    grids = property(lambda lp: lp.A.grids)
+    m_included = property(lambda lp: lp.A.m_included)
+    n_weights = property(lambda lp: lp.A.n_weights)
+    k = property(lambda lp: lp.A.k)
+    scheme = property(lambda lp: lp.A.scheme)
 
 
 @dataclass
@@ -203,97 +254,33 @@ class EstimateResult:
         return json.dumps(payload, sort_keys=True)
 
 
-@dataclass(frozen=True, eq=False)
-class _Skeleton:
-    """The histogram-free part of the LP of one (scheme, k, depth), with
-    its arrays read-only."""
-
-    scheme: IntervalScheme
-    k: int
-    depth: int
-    grids: tuple[np.ndarray, ...]
-    m_included: tuple[int, ...]
-    n_weights: int
-    A: GridColumns
-    c: np.ndarray
-    secondary: np.ndarray
-
-
-# The last skeleton built.  Holding its scheme keeps the scheme's id from
-# being reused, so a hit is the very scheme object, whatever its fields.
-_last_skeleton: _Skeleton | None = None
-
-
-def _skeleton(scheme: IntervalScheme, k: int, depth: int) -> _Skeleton:
-    """The grids, A, c and next-moment cost of the LP, built on the first
-    call for (scheme, k, depth) and returned from the memo after that."""
-    global _last_skeleton
-    last = _last_skeleton
-    if last is not None and last.scheme is scheme and last.k == k and last.depth == depth:
-        return last
-
-    included: list[int] = []
-    grids: list[np.ndarray] = []
-    for m in range(1, scheme.M + 1):
-        lo = float(scheme.tilde_left[m - 1])
-        if lo >= 1.0:
-            break
-        hi = min(float(scheme.tilde_right[m - 1]), 1.0)
-        grids.append(np.linspace(lo, hi, _grid_count(hi - lo, k, depth)))
-        included.append(m)
-    if not included:
-        raise DomainError("no interval intersects [0, 1]")
-
-    ends = np.cumsum([g.size for g in grids])
-    points = np.concatenate(grids)
-    n_w = points.size
-    n_res = (depth + 1) * len(included)   # one residual, and one slack, per (m, d)
-    moments = np.zeros((depth, n_w))
-    c = np.zeros(n_w + n_res)
-    secondary = np.zeros(n_w + n_res)
-
-    power = depth + 1
-    for mi, (m, xg, end) in enumerate(zip(included, grids, ends)):
-        i = m - 1
-        tl = float(scheme.tilde_len[i])
-        offset = xg - scheme.centers[i]
-        cols = slice(end - xg.size, end)
-        r = mi * (depth + 1)
-        for d in range(1, depth + 1):
-            moments[d - 1, cols] = k * offset**d / tl**d
-        c[n_w + r:n_w + r + depth + 1] = tl
-        secondary[cols] = tl * k * offset**power / tl**power
-    A = GridColumns(moments, points, ends, depth, k)
-    c.flags.writeable = False
-    secondary.flags.writeable = False
-    # views of the read-only points
-    grids = tuple(np.split(points, ends[:-1]))
-    _last_skeleton = _Skeleton(scheme, k, depth, grids, tuple(included), n_w, A, c, secondary)
-    return _last_skeleton
+# The last column source built.  Holding its scheme keeps the scheme's id
+# from being reused, so a hit is the very scheme object, whatever its fields;
+# a k of another type misses, so `GridColumns` checks every k that is used.
+_last_columns: GridColumns | None = None
 
 
 def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance:
     """Assemble the LP over grid atom weights plus one slack per residual term.
-
-    Weight variables live on a uniform grid per enlarged interval, restricted
-    to the part inside [0, 1]; intervals entirely beyond 1 cannot carry mass,
-    so only their (constant) cumulative-mass residuals enter the objective.
 
     Interval m (the mi-th included one) owns rows 2(D+1)mi .. 2(D+1)(mi+1)-1:
     a +/- pair per degree 1..D, then a pair for the cumulative mass over
     m' >= m; the mass and mean rows come last.  Its slacks follow the weights
     in the order cumulative, degree 1..D.
 
-    Only b and `objective_const` are built from the targets.  The grids, A,
-    c and `secondary` are built once per (scheme object, k, depth) and are
-    read-only: consecutive LPs of the same three share them (the module
+    Only b and `objective_const` are built from the targets.  The column
+    source A, with the grids and costs, is built once per (scheme object, k,
+    depth) and shared by consecutive LPs of the same three (the module
     docstring says how).
     """
+    global _last_columns
     depth = targets.depth
     if targets.M != scheme.M:
         raise DomainError("moment table and scheme disagree on interval count")
-    skeleton = _skeleton(scheme, k, depth)
-    included = skeleton.m_included
+    A = _last_columns
+    if A is None or A.scheme is not scheme or type(A.k) is not type(k) or A.k != k or A.depth != depth:
+        A = _last_columns = GridColumns(scheme, k, depth)
+    included = A.m_included
 
     n_res = (depth + 1) * len(included)
     b = np.zeros(2 * n_res + 2)
@@ -314,11 +301,7 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
     for m in range(included[-1] + 1, scheme.M + 1):
         const += float(scheme.tilde_len[m - 1]) * abs(float(cum_targets[m - 1]))
 
-    return LPInstance(
-        c=skeleton.c, A=skeleton.A, b=b, secondary=skeleton.secondary, grids=list(skeleton.grids),
-        m_included=list(included), n_weights=skeleton.n_weights, k=k, objective_const=const,
-        targets=targets, scheme=scheme,
-    )
+    return LPInstance(A=A, b=b, objective_const=const, targets=targets)
 
 
 def solve_lp(lp: LPInstance) -> EstimateResult:
@@ -422,8 +405,6 @@ def estimate_sorted_distribution(
     The scheme's n is the nominal sampling rate; pass it explicitly when the
     histogram total is Poissonized.
     """
-    if k < 1:
-        raise DomainError("k must be at least 1")
     depth = degree_for(scheme.n, c2)
     targets = moment_table_estimate(h, scheme, depth, clamped=True)
     partial = solve_lp(build_lp(targets, scheme, k))

@@ -71,7 +71,7 @@ class TestBuildLP:
         for k, counts in ((5, [32, 34, 32]), (2000, [4096, 4096, 1784])):
             lp = build_lp(tab, s, k)
             ranges = included_ranges(s)
-            assert lp.m_included == [m for m, _, _ in ranges]
+            assert lp.m_included == tuple(m for m, _, _ in ranges)
             assert [g.size for g in lp.grids] == counts
             assert counts == [expected_grid_count(hi - lo, k, depth) for _, lo, hi in ranges]
             n_int = len(lp.m_included)
@@ -383,9 +383,14 @@ class TestColumnCuts:
 
 
 def test_source_bytes_count_every_array_it_holds():
+    # the costs are held beside the columns but priced by the caller, who
+    # counts them on its own
     A = desk_lp().A
     held = [v for v in vars(A).values() if isinstance(v, np.ndarray)]
-    assert A.nbytes == sum(v.nbytes for v in held)
+    costs = [A.c, A.secondary]
+    read = [v for v in held if not any(v is cost for cost in costs)]
+    assert len(read) == len(held) - 2
+    assert A.nbytes == sum(v.nbytes for v in read)
 
 
 def lp_bytes(lp):
@@ -400,13 +405,14 @@ def lp_bytes(lp):
 
 def cold_lp(monkeypatch, targets, scheme, k):
     """`build_lp` with the memo emptied first."""
-    monkeypatch.setattr(lmm, "_last_skeleton", None)
+    monkeypatch.setattr(lmm, "_last_columns", None)
     return build_lp(targets, scheme, k)
 
 
 class TestSkeletonMemo:
-    """The histogram-free part of the LP is built once per (scheme, k,
-    depth); the LP built from it is the LP built from nothing."""
+    """The histogram-free skeleton of the LP, its `GridColumns`, is built
+    once per (scheme, k, depth); the LP built from it is the LP built from
+    nothing."""
 
     @pytest.mark.parametrize("size", ["uniform", "two-level", "zipf:1", "desk"])
     def test_warm_build_equals_cold(self, monkeypatch, size):
@@ -469,7 +475,37 @@ class TestSkeletonMemo:
         build_lp(zero_table(s, 2), s, 6)
         gc.collect()
         assert held() is None
-        assert sum(isinstance(v, lmm._Skeleton) for v in vars(lmm).values()) == 1
+        assert sum(isinstance(v, lmm.GridColumns) for v in vars(lmm).values()) == 1
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_lp_reads_everything_but_b_from_its_columns(self, monkeypatch, warm):
+        s, k = build_scheme(8, 1.0, "estimator"), 4
+        targets = moment_table_estimate(Histogram([5, 2, 1, 0]), s, degree_for(s.n, 1.0), clamped=True)
+        if warm:
+            build_lp(targets, s, k)
+            lp = build_lp(targets, s, k)
+        else:
+            lp = cold_lp(monkeypatch, targets, s, k)
+        assert lp.c is lp.A.c and lp.secondary is lp.A.secondary and lp.grids is lp.A.grids
+        assert lp.m_included is lp.A.m_included and lp.scheme is lp.A.scheme is s
+        assert lp.n_weights == lp.A.points.size and lp.k == lp.A.k == k
+        assert [f.name for f in dataclasses.fields(lmm.LPInstance)] == ["A", "b", "objective_const", "targets"]
+
+    @pytest.mark.parametrize("k", [0, -3, 2.5, 4.0], ids=["zero", "negative", "fraction", "integral-float"])
+    def test_rejects_k_that_is_not_a_positive_integer(self, monkeypatch, k):
+        s = build_scheme(1000)
+        tab = zero_table(s, 2)
+        for memo in (None, build_lp(tab, s, 4).A):
+            monkeypatch.setattr(lmm, "_last_columns", memo)
+            with pytest.raises(DomainError):
+                build_lp(tab, s, k)
+
+    def test_accepts_numpy_integers(self):
+        s = build_scheme(1000)
+        tab = zero_table(s, 2)
+        for k in (np.int64(5), np.int32(5)):
+            lp = build_lp(tab, s, k)
+            assert lp.k == 5 and lp_bytes(lp) == lp_bytes(build_lp(tab, s, 5))
 
 
 class TestSingleAtomRecovery:

@@ -1,16 +1,20 @@
-"""Count the package's lines, CLI options and defaulted public parameters.
+"""Count the package's lines, CLI options, defaulted parameters and dataclass fields.
 
     python3 tools/surface.py --src src
 
 Reads the `sortdist` package under the `--src` directory, so two source
-trees can be compared, and prints one JSON object with three counts:
+trees can be compared, and prints one JSON object with four counts:
 
 - `src_lines`: the lines of each `sortdist/*.py` file and their total;
 - `cli_options`: the arguments of each subcommand of `build_parser()`,
   positionals included and `-h` not, and their total;
 - `defaulted_params`: the parameters with a default value of every function
   or method whose name has no leading underscore, by qualified name, and
-  their total.
+  their total;
+- `dataclass_fields`: the annotated fields of every `@dataclass` whose name
+  has no leading underscore (its init fields, since the package declares no
+  `ClassVar` or `init=False` field), by qualified name, and their total.
+  Each field is a value that a caller sets, like a parameter.
 
 Equal surfaces are one `diff` of the two printed objects.
 """
@@ -62,6 +66,26 @@ def defaulted_params(pkg: Path) -> dict:
     return {"functions": counts, "total": sum(counts.values())}
 
 
+def dataclass_fields(pkg: Path) -> dict:
+    counts: dict[str, int] = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                name = f"{prefix}.{child.name}"
+                is_dataclass = any(ast.unparse(d).startswith("dataclass") for d in child.decorator_list)
+                if is_dataclass and not child.name.startswith("_"):
+                    counts[name] = sum(
+                        isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        for stmt in child.body
+                    )
+                visit(child, name)
+
+    for f in sorted(pkg.glob("*.py")):
+        visit(ast.parse(f.read_text()), f.stem)
+    return {"classes": counts, "total": sum(counts.values())}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True, help="directory that holds sortdist/")
@@ -71,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         "src_lines": src_lines(pkg),
         "cli_options": cli_options(args.src),
         "defaulted_params": defaulted_params(pkg),
+        "dataclass_fields": dataclass_fields(pkg),
     }
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
