@@ -30,16 +30,16 @@ from .harness import (
 from .intervals import DEFAULT_C1, build_scheme
 from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
-from .pml import brute_force_pml
+from .pml import brute_force_pml, check_brute_force_caps
 from .poisson_approx import DEFAULT_APPROX_C1, DEFAULT_APPROX_C2
 
 
 def _read_histogram(path: str) -> Histogram:
     try:
-        counts = [int(line) for line in Path(path).read_text().split()]
-    except (OSError, ValueError) as exc:
+        counts = np.asarray([int(line) for line in Path(path).read_text().split()], dtype=np.int64)
+    except (OSError, ValueError, OverflowError) as exc:
         raise DomainError(f"cannot read counts from {path!r}: {exc}") from None
-    return Histogram(np.asarray(counts, dtype=np.int64))
+    return Histogram(counts)
 
 
 def _write(path: Path, text: str) -> None:
@@ -101,29 +101,35 @@ def _cmd_approx(args) -> int:
     return 0
 
 
-def _parse_profile(text: str) -> Profile:
+def _parse_profile(text: str) -> tuple[int, dict[int, int]]:
+    """The n and the nonzero multiplicities of a --profile, in the size of the text."""
     text = text.strip()
     if text.startswith("{"):
-        return Profile.from_sparse_json(text)
+        return Profile.parse_sparse_json(text)
     try:
         raw = [int(x) for x in text.split(",")]
     except ValueError:
         raise DomainError(f"profile {text!r} is not a comma list of integers") from None
     if any(c < 0 for c in raw):
         raise DomainError(f"profile {text!r} has a negative multiplicity")
-    while raw and raw[-1] == 0:
-        raw.pop()
-    if not raw:
+    if not any(raw):
         raise DomainError(f"profile {text!r} is empty")
     n = sum((i + 1) * c for i, c in enumerate(raw))
-    return Profile(raw + [0] * (n - len(raw)))
+    return n, {i + 1: c for i, c in enumerate(raw) if c}
 
 
 def _cmd_pml(args) -> int:
+    # a profile is an array of length n, and an input can name any n, so
+    # the search's caps are checked before the profile is built
     if args.profile:
-        phi = _parse_profile(args.profile)
+        n, multiplicities = _parse_profile(args.profile)
+        check_brute_force_caps(n, args.kmax, args.resolution)
+        phi = Profile.from_sparse(n, multiplicities)
     else:
-        phi = profile_of_histogram(_read_histogram(args.histogram))
+        h = _read_histogram(args.histogram)
+        # summed in Python ints: the int64 h.n can wrap below the cap
+        check_brute_force_caps(sum(h.counts.tolist()), args.kmax, args.resolution)
+        phi = profile_of_histogram(h)
     pml, like = brute_force_pml(phi, k_max=args.kmax, grid_resolution=args.resolution)
     payload = {
         "profile": json.loads(phi.to_sparse_json()),

@@ -134,7 +134,21 @@ class Profile:
         return json.dumps({"n": self.n, "phi": sparse}, sort_keys=True)
 
     @staticmethod
-    def from_sparse_json(text: str) -> "Profile":
+    def from_sparse(n: int, phi: dict[int, int]) -> "Profile":
+        """The profile of sample size n with phi[i] symbols seen i times."""
+        if n < 1:
+            raise DomainError("a profile needs n >= 1")
+        dense = np.zeros(n, dtype=np.int64)
+        for i, c in phi.items():
+            if not 1 <= i <= n:
+                raise DomainError(f"multiplicity index {i} outside 1..{n}")
+            dense[i - 1] = c
+        return Profile(dense)
+
+    @staticmethod
+    def parse_sparse_json(text: str) -> tuple[int, dict[int, int]]:
+        """The n and the phi map of `to_sparse_json` text, in the size of the
+        text: nothing of length n is built, so a caller can cap n first."""
         try:
             obj = json.loads(text)
             n = obj["n"]
@@ -144,14 +158,11 @@ class Profile:
         # int() would truncate 1.9 to 1; bool is an int subclass
         if any(isinstance(v, bool) or not isinstance(v, int) for v in [n, *(c for _, c in entries)]):
             raise DomainError(f"profile {text!r}: n and the phi values must be JSON integers")
-        if n < 1:
-            raise DomainError("a profile needs n >= 1")
-        phi = np.zeros(n, dtype=np.int64)
-        for i, c in entries:
-            if not 1 <= i <= n:
-                raise DomainError(f"multiplicity index {i} outside 1..{n}")
-            phi[i - 1] = c
-        return Profile(phi)
+        return n, dict(entries)
+
+    @staticmethod
+    def from_sparse_json(text: str) -> "Profile":
+        return Profile.from_sparse(*Profile.parse_sparse_json(text))
 
 
 class AtomicMeasure:

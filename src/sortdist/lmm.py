@@ -102,6 +102,8 @@ class GridColumns:
     def __init__(self, scheme: IntervalScheme, k: int, depth: int):
         if not isinstance(k, numbers.Integral) or k < 1:
             raise DomainError(f"k must be at least 1 and an integer, got {k!r}")
+        if scheme.variant != "estimator":
+            raise DomainError("the estimator LP needs the estimator-variant scheme")
         included: list[int] = []
         grids: list[np.ndarray] = []
         for m in range(1, scheme.M + 1):

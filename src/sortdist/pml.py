@@ -39,6 +39,7 @@ __all__ = [
     "is_close",
     "min_prob_round",
     "brute_force_pml",
+    "check_brute_force_caps",
     "good_set",
     "good_profiles",
     "check_goodset_lemma",
@@ -224,6 +225,18 @@ def _sorted_grid_rows(resolution: int, k_max: int) -> np.ndarray:
     return grid
 
 
+def check_brute_force_caps(n: int, k_max: int, grid_resolution: int) -> None:
+    """Reject a `brute_force_pml` call by its sizes alone, so that a caller
+    holding only the n of a profile can check it before building the profile."""
+    if k_max < 1 or grid_resolution < 1:
+        raise DomainError("k_max and grid_resolution must be at least 1")
+    if n > EXACT_SCALE_N or k_max > PML_K_CAP or grid_resolution > PML_RESOLUTION_CAP:
+        raise ResourceLimitError(
+            f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}, "
+            f"grid_resolution <= {PML_RESOLUTION_CAP}"
+        )
+
+
 def brute_force_pml(
     phi: Profile, k_max: int = PML_K_CAP, grid_resolution: int = 60
 ) -> tuple[DiscreteDistribution, float]:
@@ -243,13 +256,7 @@ def brute_force_pml(
     symbols than k_max has likelihood 0 under every such distribution; it
     gets the grid's first row, the point mass, with likelihood 0.
     """
-    if k_max < 1 or grid_resolution < 1:
-        raise DomainError("k_max and grid_resolution must be at least 1")
-    if phi.n > EXACT_SCALE_N or k_max > PML_K_CAP or grid_resolution > PML_RESOLUTION_CAP:
-        raise ResourceLimitError(
-            f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}, "
-            f"grid_resolution <= {PML_RESOLUTION_CAP}"
-        )
+    check_brute_force_caps(phi.n, k_max, grid_resolution)
     rows = _sorted_grid_rows(grid_resolution, k_max)
     if phi.distinct_symbols > k_max:
         # every row and every candidate scores 0, so the ascent cannot move
@@ -409,11 +416,13 @@ def covering_constants(
     """Smallest constant making both covering inequalities hold for all S.
 
     Exhausts every nonempty subset of the profile space when subsets="all"
-    (sample size capped so 2^|profiles| stays enumerable), otherwise samples.
-    Returns the minimal c with
+    (sample size capped so 2^|profiles| stays enumerable), and samples
+    `sample_count` of them when subsets="sample".  Returns the minimal c with
         P(p, S) >= P(q, S)^(1/(1 - c0 n^-s)) exp(-c n^(1-2r+s))
     and the mirrored inequality, q being the normalized grid image of p.
     """
+    if subsets not in ("all", "sample"):
+        raise DomainError(f"subsets must be 'all' or 'sample', got {subsets!r}")
     n = grid.n
     q_raw = quantize_to_grid(p, grid)
     q = DiscreteDistribution(q_raw / q_raw.sum())

@@ -3,13 +3,13 @@
 Every trial gets its own jumped Philox substream, so parallel trials never
 share state and reruns are bit-identical.  A Poisson count below rate 30 is
 the quantile of one uniform under the package's exact Poisson CDF
-(`core.poisson_interval_prob`); above it, transformed rejection draws
-uniforms from the substream in symbol order.
+(`core.poisson_interval_prob`); from rate 30 up, numpy's `Generator.poisson`
+draws it by its transformed-rejection sampler (PTRS), so seeded outputs
+depend on that routine just as they depend on `Generator.random` and
+`Philox.jumped`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -60,41 +60,19 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _poisson_ptrs(gen: np.random.Generator, lam: float) -> int:
-    """Transformed-rejection sampler for large rates (~1.1 uniform pairs per draw)."""
-    slam = math.sqrt(lam)
-    loglam = math.log(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    vr = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = gen.random() - 0.5
-        v = gen.random()
-        us = 0.5 - abs(u)
-        k = int(math.floor((2.0 * a / us + b) * u + lam + 0.43))
-        if us >= 0.07 and v <= vr:
-            return k
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if math.log(v * inv_alpha / (a / (us * us) + b)) <= k * loglam - lam - math.lgamma(k + 1.0):
-            return k
-
-
 def sample_poissonized(p: DiscreteDistribution, n: int, gen: np.random.Generator) -> Histogram:
     """Independent Poisson(n p_j) counts per symbol.
 
     One block of k uniforms is drawn first; each symbol below rate 30 takes
-    the quantile of its uniform under the exact Poisson CDF.  Larger rates
-    then consume the stream in symbol order by transformed rejection.
+    the quantile of its uniform under the exact Poisson CDF.  Rates of 30
+    and more then consume the stream in symbol order through numpy's PTRS.
     """
     lam = n * p.masses
     counts = np.zeros(p.k, dtype=np.int64)
     u = gen.random(p.k)
     small = lam < _PTRS_SWITCH
     counts[small] = _poisson_quantile(u[small], lam[small])
-    for j in np.nonzero(lam >= _PTRS_SWITCH)[0]:
-        counts[j] = _poisson_ptrs(gen, float(lam[j]))
+    counts[~small] = gen.poisson(lam[~small])
     return Histogram(counts)
 
 

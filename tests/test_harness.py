@@ -1,12 +1,21 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sortdist.cli import main as cli_main
-from sortdist.core import DiscreteDistribution, Histogram, poisson_interval_prob, poisson_pmf, profile_probability
+from sortdist.core import (
+    EXACT_SCALE_N,
+    DiscreteDistribution,
+    Histogram,
+    poisson_interval_prob,
+    poisson_pmf,
+    profile_probability,
+)
 from sortdist.errors import DomainError, ResourceLimitError
 from sortdist import harness
 from sortdist.harness import (
@@ -24,7 +33,6 @@ from sortdist.harness import (
     wilson_interval,
 )
 from sortdist.sampling import (
-    _poisson_ptrs,
     _poisson_quantile,
     empirical_measure,
     sample_iid,
@@ -74,14 +82,36 @@ class TestSampling:
             for rate in np.unique(lam[(lam > 0) & (lam < 30)]):
                 table = np.cumsum(poisson_pmf(rate, np.arange(int(rate + 40 * math.sqrt(rate + 1) + 30) + 1)))
                 counts[lam == rate] = np.searchsorted(table, u[lam == rate], side="right")
-            for j in np.nonzero(lam >= 30)[0]:
-                counts[j] = _poisson_ptrs(gen, float(lam[j]))
+            counts[lam >= 30] = gen.poisson(lam[lam >= 30])
             return counts
 
         p = make_distribution(family, 5000)
         for t in range(3):
             got = sample_poissonized(p, 10**4, substream(101, t)).counts
             assert got.tolist() == reference(p, 10**4, substream(101, t)).tolist()
+
+    @pytest.mark.parametrize(
+        "family, n, digests",
+        [
+            ("zipf:1", 10**4, [
+                "9ff215c5274887d9177c43327afb31b18b441f1bd78ab683a2a86f78fc8f3be3",
+                "ddcd8e99b54796acb8ae177b32dda5ab11bbffbdfcddbfa59b43cb2cb04cf961",
+                "cb7d2cd3bbbebb9e8af07a2a41073be1190a44a5d491c3aeabaedac5e399675d",
+            ]),
+            # every rate is 200, so the whole histogram comes from numpy's PTRS
+            ("uniform", 10**6, [
+                "d37e78dcf3f41ce6c0e162d2262c5dd1c1178d2707744614afeba50454786d0b",
+                "f3ae688e2f1264254ec0670be2d9d07df93682e3f0657af6f28aad2f3aba6be7",
+                "aa7e023b0b0993efe0e3f63d399e87151475dd5343ab5cec1df0a07c82608afa",
+            ]),
+        ],
+    )
+    def test_seeded_histograms_keep_their_bytes(self, family, n, digests):
+        # pinned under numpy 2.4; a numpy release that changes its Poisson
+        # stream fails here instead of moving every seeded output silently
+        p = make_distribution(family, 5000)
+        got = [hashlib.sha256(sample_poissonized(p, n, substream(101, t)).counts.tobytes()).hexdigest() for t in range(3)]
+        assert got == digests
 
     def test_poisson_quantile_brackets_u(self):
         def cdf(j, lam):  # 0.0 at j = -1
@@ -435,6 +465,10 @@ class TestCLIDeterminism:
              "masses must be finite"),
             ({"h.txt": "40\n1.5\n"}, ["estimate", "h.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
             ({}, ["estimate", "missing.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
+            ({"h.txt": "99999999999999999999\n"}, ["estimate", "h.txt"], "cannot read counts"),
+            # two counts of 2^62, whose int64 sum wraps to a negative n
+            ({"h.txt": "4611686018427387904\n4611686018427387904\n"}, ["pml", "--histogram", "h.txt"],
+             f"capped at n <= {EXACT_SCALE_N}"),
             ({}, ["approx", "--f", "abs@x", "--n-list", "1024"], "kink"),
             ({}, ["approx", "--n-list", "10x"], "--n-list"),
             ({}, ["pml", "--profile", "a,b"], "comma list of integers"),
@@ -461,7 +495,8 @@ class TestCLIDeterminism:
             ({}, ["approx", "--n-list", "1024", "--delta", "-2"], "delta must be"),
             ({}, ["approx", "--n-list", "1024", "--delta", "nan"], "delta must be"),
         ],
-        ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing", "abs@x",
+        ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing",
+             "histogram-above-int64", "histogram-int64-wrap", "abs@x",
              "n-list-10x", "profile-a,b", "profile-0,0", "profile-1,-1", "profile-index-3", "profile-no-phi",
              "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed",
              "estimate-c1=nan", "approx-c2=nan", "competitive-c2=inf", "competitive-eps=nan",
@@ -513,6 +548,27 @@ class TestCLIDeterminism:
         assert exc.value.code == 2
         assert f"grid_resolution <= {PML_RESOLUTION_CAP}" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "form, value",
+        [("--profile", '{"n": 10000000, "phi": {"10000000": 1}}'), ("--profile", "10000000"), ("--histogram", "h.txt")],
+        ids=["sparse-json", "comma-list", "histogram"],
+    )
+    def test_pml_rejects_a_large_n_before_building_its_profile(self, tmp_path, monkeypatch, capsys, form, value):
+        # a profile is an array of length n, and building one at n = 1e7
+        # traces 160-240 MB, so the cap must reject the n before the build
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.txt").write_text("10000000\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["pml", form, value, "--out", "out.json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert f"brute-force search capped at n <= {EXACT_SCALE_N}," in capsys.readouterr().err
+        assert peak < 2**20
 
     def test_approx_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

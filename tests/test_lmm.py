@@ -671,6 +671,16 @@ class TestEstimator:
         with pytest.raises(DomainError):
             estimate_sorted_distribution(Histogram([40, 17, 0, 1]), k, build_scheme(1024))
 
+    def test_rejects_approximation_variant_scheme(self):
+        # the converse of glue's variant check: an approximation-variant
+        # scheme builds a solvable LP, so only the check stops it
+        s = build_scheme(10**4, 4.0, "approximation")
+        with pytest.raises(DomainError, match="estimator-variant"):
+            build_lp(zero_table(s, 2), s, 500)
+        h = sample_poissonized(make_distribution("uniform", 500), 10**4, substream(3, 0))
+        with pytest.raises(DomainError, match="estimator-variant"):
+            estimate_sorted_distribution(h, 500, s)
+
     def test_zero_histogram_returns_point_mass_at_zero(self):
         s = build_scheme(1024)
         res = estimate_sorted_distribution(Histogram(np.zeros(6, dtype=int)), 6, s)

@@ -538,6 +538,13 @@ class TestCoveringConstants:
         c = covering_constants(p, grid, r=0.5, s=0.125, subsets="sample", rng=rng, sample_count=256)
         assert np.isfinite(c) and c >= 0.0
 
+    @pytest.mark.parametrize("subsets", ["al", "ALL", "", "samples"])
+    def test_unknown_subsets_mode_is_rejected(self, subsets):
+        grid = QuantGrid.build(4)
+        p = DiscreteDistribution([0.5, 0.5])
+        with pytest.raises(DomainError, match="subsets"):
+            covering_constants(p, grid, r=0.5, s=0.125, subsets=subsets)
+
     def test_reported_constant_certifies(self):
         # re-check both inequalities for every subset at the reported constant
         rng = np.random.default_rng(10)

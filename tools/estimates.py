@@ -8,18 +8,22 @@ zipf:1, seeds 101 and 202 and trials 0-39 (240 estimates); trial t of seed s
 samples its Poissonized histogram on substream(s, t).  The package is
 imported from the `--src` directory, so the same command records two source
 trees.  `--out` writes one JSON object keyed "family/seed/trial", holding the
-estimate's atoms and weights (after zero-completion), objective, status,
-pivots, pricing rounds per stage and constraint violation.
+SHA-256 of the sampled histogram's counts and the estimate's atoms and
+weights (after zero-completion), objective, status, pivots, pricing rounds
+per stage and constraint violation.
 
-`--compare` prints one JSON object: how many trials have differing atom
-sets, the largest weight difference over the trials whose atoms agree, the
-largest objective difference, the trials that are not optimal in either
-record, and every trial whose pivot or round counts changed.
+`--compare` prints one JSON object: the trials whose histograms differ, so
+that a change to the sampler shows directly and not only through the
+estimates; how many trials have differing atom sets, the largest weight
+difference over the trials whose atoms agree, the largest objective
+difference, the trials that are not optimal in either record, and every
+trial whose pivot or round counts changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -43,8 +47,10 @@ def record(src: Path) -> dict:
         p = make_distribution(family, K)
         for seed in SEEDS:
             for t in range(TRIALS):
-                res = estimate_sorted_distribution(sample_poissonized(p, N, substream(seed, t)), K, scheme)
+                h = sample_poissonized(p, N, substream(seed, t))
+                res = estimate_sorted_distribution(h, K, scheme)
                 out[f"{family}/{seed}/{t}"] = {
+                    "histogram": hashlib.sha256(h.counts.tobytes()).hexdigest(),
                     "atoms": res.measure.locations.tolist(),
                     "weights": res.measure.weights.tolist(),
                     "objective": res.objective_value,
@@ -57,10 +63,12 @@ def record(src: Path) -> dict:
 def compare(a: dict, b: dict) -> dict:
     if a.keys() != b.keys():
         raise SystemExit("the two records hold different trials")
-    differing_atoms, changed, not_optimal = [], [], []
+    differing_histograms, differing_atoms, changed, not_optimal = [], [], [], []
     weight_diff = objective_diff = 0.0
     for key, x in a.items():
         y = b[key]
+        if x["histogram"] != y["histogram"]:
+            differing_histograms.append(key)
         objective_diff = max(objective_diff, abs(x["objective"] - y["objective"]))
         if x["atoms"] != y["atoms"]:
             differing_atoms.append(key)
@@ -72,6 +80,7 @@ def compare(a: dict, b: dict) -> dict:
             not_optimal.append({"trial": key, "status": [x["status"], y["status"]]})
     return {
         "trials": len(a),
+        "differing_histogram_trials": differing_histograms,
         "differing_atom_sets": len(differing_atoms),
         "differing_atom_trials": differing_atoms,
         "max_weight_diff": weight_diff,
