@@ -127,8 +127,7 @@ def _cmd_pml(args) -> int:
         phi = Profile.from_sparse(n, multiplicities)
     else:
         h = _read_histogram(args.histogram)
-        # summed in Python ints: the int64 h.n can wrap below the cap
-        check_brute_force_caps(sum(h.counts.tolist()), args.kmax, args.resolution)
+        check_brute_force_caps(h.n, args.kmax, args.resolution)
         phi = profile_of_histogram(h)
     pml, like = brute_force_pml(phi, k_max=args.kmax, grid_resolution=args.resolution)
     payload = {

@@ -72,7 +72,8 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Per-symbol occurrence counts of a sample of size n."""
+    """Per-symbol occurrence counts of a sample of size n; n, their int64
+    sum, is exact, since a total beyond int64 is rejected."""
 
     counts: np.ndarray
 
@@ -86,6 +87,12 @@ class Histogram:
             raise DomainError("counts must be 1-D")
         if np.any(c < 0):
             raise DomainError("negative count")
+        # the int64 sum cannot wrap unless the largest count times k does
+        int64_max = np.iinfo(np.int64).max
+        if c.size and int(c.max()) > int64_max // c.size:
+            total = sum(c.tolist())
+            if total > int64_max:
+                raise DomainError(f"the counts total {total}, beyond the int64 range of n")
 
     @property
     def n(self) -> int:

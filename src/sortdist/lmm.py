@@ -22,9 +22,14 @@ columns and prices the rest.  The simplex tableau starts from every slack
 column and both end points of each interval's grid, which hold every row's
 largest entry and so fix the row scaling.  After each round of pivoting
 every grid column gets its exact reduced cost from the same rows, and each
-interval's cheapest one joins the tableau.  The lexicographic optimum
-continues in the same tableau: once no column prices out on the objective,
-the row objective <= optimum is appended and the next moment is minimized.
+interval's cheapest one joins the tableau.  Within an interval the reduced
+cost is, up to a constant, a polynomial in the moment rows alone: the mean
+row is affine in the degree-1 row, and a weight column costs nothing in the
+objective.  Pricing an interval is therefore one matrix-vector product over
+its grid, and in the next-moment stage one subtraction from that cost.
+The lexicographic optimum continues in the same tableau: once no column
+prices out on the objective, the row objective <= optimum is appended and
+the next moment is minimized.
 
 Only the right-hand side b and the constant tail cost read the histogram.
 Everything else (the grids, the columns, the slack costs c and the
@@ -125,6 +130,7 @@ class GridColumns:
         moments = np.zeros((depth, n_w))
         c = np.zeros(n_w + n_res)
         secondary = np.zeros(n_w + n_res)
+        tl_over_k = np.zeros(n_int)
 
         power = depth + 1
         for mi, (m, xg, end) in enumerate(zip(included, grids, ends)):
@@ -137,9 +143,11 @@ class GridColumns:
                 moments[d - 1, cols] = k * offset**d / tl**d
             c[n_w + r:n_w + r + depth + 1] = tl
             secondary[cols] = tl * k * offset**power / tl**power
+            tl_over_k[mi] = tl / k
 
         self._moments = moments        # (D, n_w): the + degree rows on the weight columns
         self.points = points           # (n_w,): every grid point, the mean row
+        self._tl_over_k = tl_over_k    # (n_int,): the mean row per unit of the degree-1 row
         self.n_weights = n_w
         self.c = c
         self.secondary = secondary     # next-moment cost minimized over the optimal face
@@ -170,8 +178,11 @@ class GridColumns:
 
     @property
     def _held(self) -> tuple[np.ndarray, ...]:
-        """The arrays a column cut or a pricing call reads."""
-        return (self._moments, self.points, self._ends, self.start, self._degree_rows, self._templates)
+        """The arrays a column cut or a pricing call reads, apart from the
+        costs c and `secondary`."""
+        return (
+            self._moments, self.points, self._tl_over_k, self._ends, self.start, self._degree_rows, self._templates,
+        )
 
     @property
     def nbytes(self) -> int:
@@ -184,7 +195,7 @@ class GridColumns:
         cols = np.asarray(cols)
         template = np.searchsorted(self._ends, cols, side="right")
         out = self._templates[:, template]
-        at = np.flatnonzero(cols < self.points.size)
+        at = (cols < self.points.size).nonzero()[0]
         j = cols[at]
         rows = self._degree_rows[:, template[at]]
         values = self._moments[:, j]
@@ -193,22 +204,35 @@ class GridColumns:
         out[-1, at] = self.points[j]
         return out
 
-    def price(self, y: np.ndarray, cost: np.ndarray) -> np.ndarray:
-        """Each interval's grid column of least reduced cost cost_j - y.A_j.
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """Each interval's grid column of least reduced cost, against the
+        duals y of A's rows and, in the second stage, of the row
+        c.x <= opt last (the `simplex` module docstring says how).
 
         On the mi-th interval y.A_j is the interval's degree-row duals
         (y+ - y-) times the column's degree rows, plus y_mean x_j, plus y
-        times the interval's template column.
+        times the interval's template column.  Since x_j = c_m + (tl_m / k)
+        times the degree-1 row, y_mean x_j is y_mean tl_m / k times that row
+        plus a constant, so the mean row folds into the degree-1 dual.  The
+        constants, and the template term, are the same on every column of
+        the interval and cannot move its argmin; they are dropped.  A weight
+        column's c is 0, so the first stage's reduced cost is minus the
+        degree-row product alone, whose argmin is the product's argmax, and
+        the second stage's is `secondary` minus it, whatever y_opt is.
+        Without the constant, the rounding differs from that of the full
+        reduced cost, so an exact tie (a reduced cost symmetric about the
+        midpoint of two grid points) can break toward the other point; both
+        are columns of least reduced cost.
         """
-        n_int = self._degree_rows.shape[1]
-        net = y[self._degree_rows] - y[self._degree_rows + 1]
-        fixed = y @ self._templates[:, :n_int]
-        y_mean = y[-1]
-        best = np.empty(n_int, dtype=np.int64)
+        rows = self._degree_rows
+        net = y[rows] - y[rows + 1]
+        net[0] += y[self.shape[0] - 1] * self._tl_over_k
+        first_stage = y.size == self.shape[0]
+        best = np.empty(rows.shape[1], dtype=np.int64)
         first = 0
-        for mi, end in enumerate(self._ends[:n_int]):
-            dot = net[:, mi] @ self._moments[:, first:end] + y_mean * self.points[first:end] + fixed[mi]
-            best[mi] = first + int(np.argmin(cost[first:end] - dot))
+        for mi, end in enumerate(self._ends[:best.size]):
+            dot = net[:, mi] @ self._moments[:, first:end]
+            best[mi] = first + (dot.argmax() if first_stage else (self.secondary[first:end] - dot).argmin())
             first = end
         return best
 

@@ -25,11 +25,17 @@ primary objective does not move.  Pivoting drifts, so the returned vertex is
 recomputed by solving for the basic values from the equilibrated columns of
 the final basis.
 
-The row duals y that `price` receives are in the caller's units, read from
-the tableau's slack columns, whose reduced costs are -y times the row scale.
-The last y of the first stage certifies min c.x: y <= 0, c - A^T y >= 0 on
-the columns up to the optimality tolerance, and b.y is the objective.  Every
-result reports the violation max(0, max_i (A x - b)_i) of the x it returns.
+The oracle is called as `price(y)` with the row duals y in the caller's
+units, read from the tableau's slack columns, whose reduced costs are -y
+times the row scale, and it prices against the costs it holds itself.  In
+the first stage y has one entry per row of A, and column j's reduced cost is
+c_j - y.A_j.  In the second y has one more, last, the dual y_opt of the row
+c.x <= opt, and column j's reduced cost is secondary_j - y.A_j - y_opt c_j.
+The stage is therefore the length of y, and no full-length cost vector is
+built in any round.  The last y of the first stage certifies min c.x:
+y <= 0, c - A^T y >= 0 on the columns up to the optimality tolerance, and
+b.y is the objective.  Every result reports the violation
+max(0, max_i (A x - b)_i) of the x it returns.
 """
 
 from __future__ import annotations
@@ -69,9 +75,9 @@ class SimplexResult:
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     # rows with a zero in the pivot column are unchanged; skip them
-    rows = np.flatnonzero(T[:, col])
+    rows = T[:, col].nonzero()[0]
     rows = rows[rows != row]
-    T[rows] -= np.outer(T[rows, col], T[row])
+    T[rows] -= T[rows, col][:, None] * T[row]
     basis[row] = col
 
 
@@ -85,16 +91,14 @@ def _install_cost(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
 
 
 def _choose_entering(red: np.ndarray, blocked: set[int], bland: bool) -> int:
-    if bland:
-        for j in range(red.size):  # Bland: smallest eligible index
-            if red[j] < -_TOL and j not in blocked:
-                return j
-        return -1
-    masked = red.copy()
     if blocked:
-        masked[list(blocked)] = 0.0
-    j = int(np.argmin(masked))
-    return j if masked[j] < -_TOL else -1
+        red = red.copy()
+        red[list(blocked)] = 0.0
+    if bland:
+        eligible = (red < -_TOL).nonzero()[0]  # Bland: smallest eligible index
+        return int(eligible[0]) if eligible.size else -1
+    j = int(red.argmin())
+    return j if red[j] < -_TOL else -1
 
 
 def _run_phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
@@ -116,19 +120,18 @@ def _run_phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
                 # admissible pivot row); declare the vertex optimal
                 return "optimal", pivots
             col = T[:-1, entering]
-            ok = col > _TOL
-            if np.any(ok):
+            ok = (col > _TOL).nonzero()[0]
+            if ok.size:
                 break
             if red[entering] < -1e-6:
                 return "unbounded", pivots
             blocked.add(entering)
-        rhs = T[:-1, -1]
-        ratios = np.where(ok, rhs / np.where(ok, col, 1.0), np.inf)
-        ties = np.where(ratios <= ratios.min() + _RATIO_TIE)[0]
+        ratios = T[ok, -1] / col[ok]
+        ties = ok[ratios <= ratios.min() + _RATIO_TIE]
         if bland:
-            row = ties[np.argmin(basis[ties])]
+            row = ties[basis[ties].argmin()]
         else:
-            row = ties[np.argmax(col[ties])]
+            row = ties[col[ties].argmax()]
         _pivot(T, basis, int(row), entering)
         pivots += 1
         # bottom-right holds minus the current objective, so progress raises it
@@ -147,7 +150,7 @@ def simplex_solve(
     b: np.ndarray,
     secondary: np.ndarray | None = None,
     start: np.ndarray | None = None,
-    price: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    price: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SimplexResult:
     """Solve, then verify an optimal vertex against the original constraints;
     one that violates them is reported with status "degenerate".
@@ -159,10 +162,10 @@ def simplex_solve(
     optimal face of min c.x; the pivots of both stages are counted.
 
     With `price`, the tableau starts from the columns `start`, which must hold
-    a feasible point.  `price(y, cost)` gets the row duals after each round of
-    pivoting and the cost being minimized, with the dual of the row c.x <= opt
-    folded into that cost, and returns candidate columns.  A round that ends
-    short of optimal ends the solve with its status.
+    a feasible point.  `price(y)` gets the row duals after each round of
+    pivoting and returns candidate columns; the module docstring says what y
+    holds in each stage.  A round that ends short of optimal ends the solve
+    with its status.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -202,7 +205,8 @@ def simplex_solve(
             width = T.shape[1] - 1
             row_scale = np.append(row_scale, np.abs(c[cols] / col_scale).max(initial=0.0) or 1.0)
             row = np.append(T[-1, :-1] / row_scale[m], [1.0, 0.0])
-            T = np.insert(np.insert(T, width, 0.0, axis=1), m, row, axis=0)
+            T = np.concatenate([T[:, :-1], np.zeros((m + 1, 1)), T[:, -1:]], axis=1)
+            T = np.concatenate([T[:m], row[None], T[m:]])
             basis = np.append(basis, width)
         _install_cost(T, basis, cost[cols] / col_scale)
         rounds.append(0)
@@ -215,9 +219,7 @@ def simplex_solve(
             # the slack columns hold B^-1, and their reduced costs are minus
             # the scaled row duals
             slack = slice(cols.size, T.shape[1] - 1)
-            y = -T[-1, slack] / row_scale
-            folded = cost if y.size == m else cost - y[m] * c
-            cand = np.unique(price(y[:m], folded))
+            cand = np.unique(price(-T[-1, slack] / row_scale))
             cand = cand[~in_tableau[cand]]
             M, scale = scaled(cand, A[:, cand])
             new = T[:, slack] @ M
@@ -300,4 +302,6 @@ def _phase_one(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     for r in np.flatnonzero(basis >= ncols):
         _pivot(T, basis, r, int(np.flatnonzero(np.abs(T[r, :ncols]) > _TOL)[0]))
         pivots += 1
+    # the cut leaves T in Fortran order, and the products of the next round
+    # round by the layout of their operands, so it is kept
     return T[:, np.r_[:ncols, -1]], basis, "optimal", pivots

@@ -64,6 +64,15 @@ class TestHistogramProfile:
                 Histogram(counts)
         assert Histogram([3.0, 0.0]).counts.tolist() == [3, 0]
 
+    def test_histogram_total_is_exact_or_rejected(self):
+        top = np.iinfo(np.int64).max
+        # large counts whose total still fits, up to the very top
+        for counts in ([top], [top - 5, 2, 3], [2**62, 2**61, 2**61 - 1]):
+            assert Histogram(counts).n == sum(counts)
+        for counts in ([2**62, 2**62], [top, 1], [top // 3 + 1] * 3):
+            with pytest.raises(DomainError, match="total"):
+                Histogram(counts)
+
     def test_distribution_rejects_non_finite_masses(self):
         # NaN passes both the sign and the sum check
         for masses in ([np.nan, 0.5, 0.5], [np.inf, 0.5]):

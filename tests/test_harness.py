@@ -466,8 +466,12 @@ class TestCLIDeterminism:
             ({"h.txt": "40\n1.5\n"}, ["estimate", "h.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
             ({}, ["estimate", "missing.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
             ({"h.txt": "99999999999999999999\n"}, ["estimate", "h.txt"], "cannot read counts"),
-            # two counts of 2^62, whose int64 sum wraps to a negative n
+            # two counts of 2^62, whose int64 sum would wrap to a negative n
             ({"h.txt": "4611686018427387904\n4611686018427387904\n"}, ["pml", "--histogram", "h.txt"],
+             "the counts total 9223372036854775808, beyond the int64 range"),
+            ({"h.txt": "4611686018427387904\n4611686018427387904\n"}, ["estimate", "h.txt"],
+             "the counts total 9223372036854775808, beyond the int64 range"),
+            ({"h.txt": "4611686018427387904\n"}, ["pml", "--histogram", "h.txt"],
              f"capped at n <= {EXACT_SCALE_N}"),
             ({}, ["approx", "--f", "abs@x", "--n-list", "1024"], "kink"),
             ({}, ["approx", "--n-list", "10x"], "--n-list"),
@@ -496,7 +500,7 @@ class TestCLIDeterminism:
             ({}, ["approx", "--n-list", "1024", "--delta", "nan"], "delta must be"),
         ],
         ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing",
-             "histogram-above-int64", "histogram-int64-wrap", "abs@x",
+             "histogram-above-int64", "histogram-int64-wrap", "estimate-int64-wrap", "pml-above-cap", "abs@x",
              "n-list-10x", "profile-a,b", "profile-0,0", "profile-1,-1", "profile-index-3", "profile-no-phi",
              "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed",
              "estimate-c1=nan", "approx-c2=nan", "competitive-c2=inf", "competitive-eps=nan",

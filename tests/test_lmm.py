@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import math
@@ -196,18 +197,28 @@ class TestColumnGeneration:
         else:
             s = build_scheme(10**3)
             lp = build_lp(MomentTable(rng.normal(size=(s.M, 3))), s, 50)
-        price = lp.A.price
         sizes = np.array([g.size for g in lp.grids])
         ends = np.cumsum(sizes)
         A = dense(lp)
+
+        def dense_best(red):
+            return [first + int(np.argmin(red[first:end])) for first, end in zip(ends - sizes, ends)]
+
+        # a source whose next-moment cost the test sets; the pricer reads
+        # the costs from the source it belongs to
+        chosen = copy.copy(lp.A)
         for _ in range(5):
+            y = rng.normal(size=lp.b.size)
+            y_opt = rng.normal()
+            # first stage: the cost c
+            assert lp.A.price(y).tolist() == dense_best(lp.c - y @ A)
+            # second stage: secondary, with the dual y_opt of c.x <= opt
+            assert lp.A.price(np.append(y, y_opt)).tolist() == dense_best(lp.secondary - y_opt * lp.c - y @ A)
             # reduced costs of order 1e-6, so any error in a term of the
             # polynomial moves the argmin
-            y = rng.normal(size=lp.b.size)
-            cost = y @ A + 1e-6 * rng.normal(size=lp.c.size)
-            red = cost - y @ A
-            best = [first + int(np.argmin(red[first:end])) for first, end in zip(ends - sizes, ends)]
-            assert price(y, cost).tolist() == best
+            chosen.secondary = y @ A + y_opt * lp.c + 1e-6 * rng.normal(size=lp.c.size)
+            red = chosen.secondary - y_opt * lp.c - y @ A
+            assert chosen.price(np.append(y, y_opt)).tolist() == dense_best(red)
 
     def test_small_lps_match_the_direct_solve(self):
         # zero targets, random tables and a single grid atom at n = 1e3
@@ -383,8 +394,8 @@ class TestColumnCuts:
 
 
 def test_source_bytes_count_every_array_it_holds():
-    # the costs are held beside the columns but priced by the caller, who
-    # counts them on its own
+    # the costs are held beside the columns and read by the pricer, but
+    # counted by the caller on its own
     A = desk_lp().A
     held = [v for v in vars(A).values() if isinstance(v, np.ndarray)]
     costs = [A.c, A.secondary]

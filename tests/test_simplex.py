@@ -49,14 +49,17 @@ class TestAgainstHighs:
         assert np.all(A @ res.x <= b + 1e-9)
 
 
-def recording_oracle(A):
-    """A dense pricing oracle offering the column of least reduced cost; the
-    list it returns holds every y it received."""
+def recording_oracle(c, A, secondary=None):
+    """A dense pricing oracle offering the column of least reduced cost in
+    each stage, told apart by the length of y; the list it returns holds
+    every y it received."""
     received = []
+    m = A.shape[0]
 
-    def price(y, cost):
+    def price(y):
         received.append(y)
-        return np.array([np.argmin(cost - A.T @ y)])
+        cost = c if y.size == m else secondary - y[m] * c
+        return np.array([np.argmin(cost - A.T @ y[:m])])
 
     return price, received
 
@@ -69,7 +72,7 @@ class TestDuals:
     @pytest.mark.parametrize("seed", range(20))
     def test_duals_certify_the_optimum(self, seed):
         c, A, b = random_lp(seed)
-        price, received = recording_oracle(A)
+        price, received = recording_oracle(c, A)
         res = simplex_solve(c, A, b, start=np.arange(c.size), price=price)
         assert res.status == "optimal"
         y = received[-1]
@@ -136,7 +139,7 @@ class TestColumnGeneration:
         secondary = np.random.default_rng(seed + 1000).normal(size=c.size)
         for sec in (None, secondary):
             direct = simplex_solve(c, A, b, secondary=sec)
-            price, received = recording_oracle(A)
+            price, received = recording_oracle(c, A, sec)
             res = simplex_solve(c, A, b, secondary=sec, start=np.array([0]), price=price)
             assert res.status == "optimal"
             assert len(res.rounds) == (1 if sec is None else 2)
@@ -151,7 +154,7 @@ class TestColumnGeneration:
         # the start column alone cannot meet x0 + x1 >= 1 with x0 <= 0
         A = np.array([[1.0, 0.0], [-1.0, -1.0]])
         b = np.array([0.0, -1.0])
-        res = simplex_solve(np.ones(2), A, b, start=np.array([0]), price=recording_oracle(A)[0])
+        res = simplex_solve(np.ones(2), A, b, start=np.array([0]), price=recording_oracle(np.ones(2), A)[0])
         assert res.status == "infeasible"
         assert res.rounds == (1,)
 

@@ -16,8 +16,11 @@ per stage and constraint violation.
 that a change to the sampler shows directly and not only through the
 estimates; how many trials have differing atom sets, the largest weight
 difference over the trials whose atoms agree, the largest objective
-difference, the trials that are not optimal in either record, and every
-trial whose pivot or round counts changed.
+difference, the trials whose status changed, the trials that are not
+optimal in either record, and every trial whose pivot or round counts
+changed.  It exits with status 1 when any trial differs in histogram,
+atoms, weights, objective, status, pivots or rounds, and 0 otherwise, so
+byte-identical estimates are one exit code.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def record(src: Path) -> dict:
 def compare(a: dict, b: dict) -> dict:
     if a.keys() != b.keys():
         raise SystemExit("the two records hold different trials")
-    differing_histograms, differing_atoms, changed, not_optimal = [], [], [], []
+    differing_histograms, differing_atoms, changed, status_changed, not_optimal = [], [], [], [], []
     weight_diff = objective_diff = 0.0
     for key, x in a.items():
         y = b[key]
@@ -76,6 +79,8 @@ def compare(a: dict, b: dict) -> dict:
             weight_diff = max([weight_diff, *(abs(u - v) for u, v in zip(x["weights"], y["weights"]))])
         if (x["pivots"], x["rounds"]) != (y["pivots"], y["rounds"]):
             changed.append({"trial": key, "pivots": [x["pivots"], y["pivots"]], "rounds": [x["rounds"], y["rounds"]]})
+        if x["status"] != y["status"]:
+            status_changed.append({"trial": key, "status": [x["status"], y["status"]]})
         if x["status"] != "optimal" or y["status"] != "optimal":
             not_optimal.append({"trial": key, "status": [x["status"], y["status"]]})
     return {
@@ -85,9 +90,18 @@ def compare(a: dict, b: dict) -> dict:
         "differing_atom_trials": differing_atoms,
         "max_weight_diff": weight_diff,
         "max_objective_diff": objective_diff,
+        "status_changed": status_changed,
         "not_optimal": not_optimal,
         "pivots_or_rounds_changed": changed,
     }
+
+
+def differs(summary: dict) -> bool:
+    """Whether a `compare` summary shows any trial that is not identical."""
+    return bool(
+        summary["differing_histogram_trials"] or summary["differing_atom_trials"] or summary["max_weight_diff"]
+        or summary["max_objective_diff"] or summary["status_changed"] or summary["pivots_or_rounds_changed"]
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,7 +112,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(path.read_text()) for path in args.compare)
-        print(json.dumps(compare(a, b), indent=1))
+        summary = compare(a, b)
+        print(json.dumps(summary, indent=1))
+        return int(differs(summary))
     elif args.src and args.out:
         args.out.write_text(json.dumps(record(args.src)) + "\n")
     else:
