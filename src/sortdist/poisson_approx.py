@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import gammaln
 
 from .core import poisson_pmf_windows
@@ -43,9 +43,8 @@ __all__ = [
 DEFAULT_APPROX_C1 = 4.0
 DEFAULT_APPROX_C2 = 1.2
 
-# Doubles per tile in `glue`: keeps its working memory flat in n.  At 128 KB
-# the peak RSS of the `approx` default sweep stays within 0.3 MB of the
-# per-term loop's; 512 KB tiles cost about 1 MB more and were 5% faster.
+# Doubles in one tile's reduce buffer in `glue`, r (r + width) for r rows:
+# keeps its working memory flat in n, at 128 KB.
 _TILE_DOUBLES = 1 << 14
 
 
@@ -195,12 +194,15 @@ def glue(
     `core.binom_half_logpmf`: gammaln(j + 1) - gammaln(k + 1) -
     gammaln(l + 1) - j log 2, subtracted in that order, with the log-gamma
     values and j log 2 read from tables over 0..j_max.  Each block's terms
-    are built in tiles of at most _TILE_DOUBLES values, whose row l is the
-    window j = l + k_lo .. l + k_hi of those tables, and the rows of nonzero
-    b_l are added to the output in ascending l, block by block.  Every b_j
-    thus sees the same floating-point operations in the same order as
-    adding one term at a time, so the result is byte-equal to that
-    definition.
+    are built in tiles whose row l is the window j = l + k_lo .. l + k_hi of
+    those tables.  A tile of r rows is written into a zero buffer of r + 1
+    rows, row l shifted right by l, below the output segment it covers in
+    row 0, and one reduce over the rows replaces that segment; tiles keep
+    r (r + width) within _TILE_DOUBLES values.  The reduce adds rows in
+    order, so every b_j sees its terms in ascending l, block by block, as
+    when adding one term at a time.  Rows of b_l = 0 and the buffer's zeros
+    add +0.0, which leaves the output (never -0.0) as it is, so the result
+    is byte-equal to that definition.
     """
     if scheme.variant != "approximation":
         raise DomainError("gluing needs the approximation-variant scheme")
@@ -231,7 +233,8 @@ def glue(
         log2_rows = sliding_window_view(j_log2, width)
         fact_k = log_fact[k_lo : k_hi + 1]
         l_end = blk.offset + int(nonzero[-1]) + 1
-        step = max(1, _TILE_DOUBLES // width)
+        # the largest r with r (r + width) <= _TILE_DOUBLES, at least 1
+        step = max(1, (math.isqrt(width * width + 4 * _TILE_DOUBLES) - width) // 2)
         for l_first in range(blk.offset + int(nonzero[0]), l_end, step):
             ls = range(l_first, min(l_first + step, l_end))
             windows = slice(ls.start + k_lo, ls.stop + k_lo)
@@ -239,11 +242,13 @@ def glue(
             tile -= log_fact[ls.start : ls.stop, None]
             tile -= log2_rows[windows]
             np.exp(tile, out=tile)
+            segment = out[ls.start + k_lo : ls.stop + k_hi]
+            buf = np.zeros((len(ls) + 1, segment.size))
+            buf[0] = segment
+            skewed = as_strided(buf[1:], shape=(len(ls), width), strides=(buf.strides[0] + buf.itemsize, buf.itemsize))
             b = blk.values[ls.start - blk.offset : ls.stop - blk.offset]
-            tile *= b[:, None]
-            for l, b_l, row in zip(ls, b.tolist(), tile):
-                if b_l != 0.0:
-                    out[l + k_lo : l + k_hi + 1] += row
+            np.multiply(tile, b[:, None], out=skewed)
+            np.add.reduce(buf, axis=0, out=segment)
     return out
 
 

@@ -340,11 +340,33 @@ class TestPmfKernels:
         with pytest.raises(DomainError):
             binomial_pmf(3, 1.5, 0)
 
-    def test_poisson_windows_are_byte_equal_to_poisson_pmf(self):
+    @pytest.mark.parametrize("chunk", [None, 7, 1000], ids=["default-chunk", "chunk-7", "chunk-1000"])
+    def test_poisson_windows_are_byte_equal_to_poisson_pmf(self, monkeypatch, chunk):
+        # small chunks put chunk edges between and inside the windows
+        if chunk is not None:
+            monkeypatch.setattr(sortdist.core, "_CHUNK_COUNTS", chunk)
         # zero rates, windows from count 0, one-count, empty and far windows
         lams = [0.0, 0.0, 1e-4, 0.7, 3.0, 15.5, 16.0, 250.0, 4096.0, 65536.0, 9.0]
         lo = [0, 2, 0, 0, 1, 0, 3, 100, 3900, 65000, 5]
         hi = [4, 6, 40, 0, 1, 80, 60, 400, 4300, 66000, 4]
+        # windows wider than a 1000-count chunk, one of them from count 0
+        lams += [5000.0, 800.0]
+        lo += [4000, 0]
+        hi += [6200, 1500]
+        # windows across both ends of _bd0's series region, 0.1 (x + mu) > |x - mu|
+        lams += [100.0, 37.5, 1e4]
+        lo += [50, 1, 8000]
+        hi += [200, 90, 12500]
+        # a run of zero-rate and empty windows between two short ones
+        lams += [2.0, 0.0, 0.0, 3.0, 0.0, 7.0, 0.0, 5.0]
+        lo += [0, 0, 5, 9, 1, 4, 0, 1]
+        hi += [6, 3, 2, 8, 0, 3, 0, 9]
+        # windows from count 0 over many rates, where numpy's exp(-lam) and
+        # math.exp(-lam) can differ in the last bit (at 3 of these 60 rates
+        # with numpy 2.4)
+        lams += np.linspace(0.1, 6.0, 60).tolist()
+        lo += [0] * 60
+        hi += [3] * 60
         windows = list(poisson_pmf_windows(np.asarray(lams), lo, hi))
         assert len(windows) == len(lams)
         for lam, a, b, got in zip(lams, lo, hi, windows):
@@ -356,6 +378,17 @@ class TestPmfKernels:
             list(poisson_pmf_windows([1.0, -1.0], [0, 0], [3, 3]))
         with pytest.raises(DomainError):
             list(poisson_pmf_windows([1.0], [-1], [3]))
+        # inputs of unequal length or of more than one axis are not cut short
+        with pytest.raises(DomainError):
+            list(poisson_pmf_windows([1.0, 2.0, 3.0], [0], [3, 4]))
+        with pytest.raises(DomainError):
+            list(poisson_pmf_windows([1.0, 2.0], [0, 0, 0], [3, 4]))
+        with pytest.raises(DomainError):
+            list(poisson_pmf_windows([1.0, 2.0], [0, 0], [3, 4, 5]))
+        with pytest.raises(DomainError):
+            list(poisson_pmf_windows([[1.0, 2.0]], [[0, 0]], [[3, 4]]))
+        with pytest.raises(DomainError):
+            list(poisson_pmf_windows(1.0, 0, 3))
 
     def test_poisson_cdf_matches_pmf_sum(self):
         rng = np.random.default_rng(8)

@@ -1,9 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from sortdist import poisson_approx
+from sortdist import core, poisson_approx
 from sortdist.core import binom_half_logpmf, binomial_pmf, poisson_interval_prob, poisson_pmf
 from sortdist.errors import DomainError, RateMismatchError
 from sortdist.harness import parse_function
@@ -57,6 +58,12 @@ def evaluate_wide(poly, x):
         return 0.0
     j = np.arange(lo, hi + 1)
     return float(poly.coeffs[lo : hi + 1] @ poisson_pmf(lam, j))
+
+
+@lru_cache(maxsize=None)
+def abs_construction(n):
+    """The `abs` construction at n, built once per test session."""
+    return build_poisson_approximation(parse_function("abs"), n)
 
 
 def verify_grid(n):
@@ -305,6 +312,13 @@ def test_glue_matches_reference_loop(monkeypatch, tile):
         for n in (2**10, 2**12):
             poly = build_poisson_approximation(parse_function(name), n)
             cases.append((poly.blocks, n, poly.scheme))
+    # a narrow block with many rows, where r (r + width) caps the rows per tile
+    n = 2**12
+    s = build_scheme(n, 4.0, "approximation")
+    k_lo, k_hi = s.half_range(1)
+    assert k_hi - k_lo + 1 <= 20
+    values = np.random.default_rng(12).normal(size=3000)
+    cases.append(([LocalBlock(m=1, rate=n / 2.0, offset=0, values=values)], n, s))
     for blocks, n, s in cases:
         assert glue(blocks, n, s).tobytes() == reference_glue(blocks, s).tobytes()
 
@@ -397,9 +411,15 @@ class TestEvaluate:
             assert np.all(np.abs(got[zero]) <= 1e-16)
             assert np.all(np.abs(got - want)[~zero] <= 1e-13 * np.abs(want[~zero]))
 
-    def test_array_call_is_byte_equal_to_scalar_calls(self):
-        poly = build_poisson_approximation(parse_function("abs"), 2**10)
-        xs = np.concatenate([verify_grid(2**10), [0.25, 0.5, 3.0, 1e6]])
+    @pytest.mark.parametrize("n", [2**10, 2**16])
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+    def test_array_call_is_byte_equal_to_scalar_calls(self, monkeypatch, n, chunk):
+        # an array call lays many windows into each pmf chunk, a scalar call
+        # one; a 7-count chunk puts a chunk edge inside every window
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK_COUNTS", chunk)
+        poly = abs_construction(n)
+        xs = np.concatenate([verify_grid(n), [0.25, 0.5, 3.0, 1e6]])
         scalars = [evaluate(poly, float(x)) for x in xs]
         assert all(type(v) is float for v in scalars)
         assert evaluate(poly, xs).tobytes() == np.asarray(scalars).tobytes()

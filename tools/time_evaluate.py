@@ -8,12 +8,14 @@ times two source trees.  For each n the `abs` construction
 `build_poisson_approximation(abs, n)` is built once (untimed), then
 `verify_bounds(poly, abs)` is timed `--repeats` times; its 673-point x grid
 evaluation is most of that time.  The values of `evaluate` over that grid
-(one scalar call per point, which every tree supports) are kept untimed:
-`--save` writes them to an .npz file, and `--reference` reads such a file
-from another tree and reports the largest relative difference per n
-(absolute where the reference value is 0).
-Prints one JSON object: per n the times, their median, the SHA-256 of the
-values, and the relative difference when a reference is given.
+are kept untimed, twice: one scalar call per point, which builds one pmf
+window per call, and the single array call `evaluate(poly, x_grid)`, which
+builds the windows of many points together.  `--save` writes both to an
+.npz file, and `--reference` reads such a file from another tree and
+reports, for each, the largest relative difference per n (absolute where
+the reference value is 0) and the count of values that moved.
+Prints one JSON object: per n the times, their median, the SHA-256 of both
+value arrays, and the differences when a reference is given.
 """
 
 from __future__ import annotations
@@ -55,17 +57,19 @@ def main(argv: list[str] | None = None) -> int:
         x_grid = np.unique(
             np.concatenate([np.linspace(0.0, 1.0, 513), np.geomspace(1.0 / (4 * n), 0.05, 160)])
         )
-        got = np.asarray([evaluate(poly, float(x)) for x in x_grid])
-        values[f"n{n}"] = got
-        row = {
-            "n": n, "verify_s": times, "verify_s_median": statistics.median(times),
-            "points": int(x_grid.size), "sha256": hashlib.sha256(got.tobytes()).hexdigest(),
+        row = {"n": n, "verify_s": times, "verify_s_median": statistics.median(times), "points": int(x_grid.size)}
+        calls = {
+            "": np.asarray([evaluate(poly, float(x)) for x in x_grid]),
+            "array_": np.asarray(evaluate(poly, x_grid)),
         }
-        if reference is not None:
-            want = reference[f"n{n}"]
-            scale = np.where(want == 0.0, 1.0, np.abs(want))
-            row["max_rel_diff"] = float(np.max(np.abs(got - want) / scale))
-            row["values_moved"] = int(np.sum(got != want))
+        for prefix, got in calls.items():
+            values[f"{prefix}n{n}"] = got
+            row[f"{prefix}sha256"] = hashlib.sha256(got.tobytes()).hexdigest()
+            if reference is not None and f"{prefix}n{n}" in reference:
+                want = reference[f"{prefix}n{n}"]
+                scale = np.where(want == 0.0, 1.0, np.abs(want))
+                row[f"{prefix}max_rel_diff"] = float(np.max(np.abs(got - want) / scale))
+                row[f"{prefix}values_moved"] = int(np.sum(got != want))
         rows.append(row)
     if args.save:
         np.savez(args.save, **values)
