@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -316,7 +316,7 @@ def good_profiles(
     p: DiscreteDistribution,
     eps: float,
     loss: Callable[[AtomicMeasure, DiscreteDistribution], float],
-    profiles: list[Profile],
+    profiles: Sequence[Profile],
 ) -> list[Profile]:
     """The profiles, in the given order, on which the estimator lands within eps of p."""
     return [phi for phi in profiles if loss(estimator(phi), p) <= eps]

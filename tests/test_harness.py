@@ -251,6 +251,11 @@ class TestWilson:
 
 
 class TestCompetitive:
+    @pytest.fixture(autouse=True)
+    def cold_desk(self, monkeypatch):
+        # each test builds its own desk table, so spies see the build
+        monkeypatch.setattr(harness, "_last_desk", None)
+
     def test_huge_eps_no_failures(self):
         cfg = ExperimentConfig(n=5, k=3, dist="uniform", eps=2.0, c2=1.0)
         rep = run_competitive_check(cfg)
@@ -347,6 +352,89 @@ class TestCompetitive:
         rep = run_competitive_check(ExperimentConfig(n=12, k=4, dist="uniform", eps=0.6, c2=1.0))
         assert len(rep["pml"]) == 77  # the partitions of 12
         assert rep["direct_failure_probability"] <= rep["indicator_bound_term"] + 1e-12
+
+
+def competitive_json(cfg: ExperimentConfig) -> str:
+    return json.dumps(run_competitive_check(cfg), sort_keys=True)
+
+
+class TestDeskTableMemo:
+    """The p-free part of a competitive check, its `DeskTable`, is built
+    once per (n, k, c2); a check that reads the kept table reports the bytes
+    of one that builds its own."""
+
+    @pytest.mark.parametrize("n,k", [(4, 3), (6, 4), (8, 4), (8, 5), (10, 4), (12, 4)])
+    def test_a_sweep_reads_one_table_and_reports_the_cold_bytes(self, monkeypatch, n, k):
+        configs = [
+            ExperimentConfig(n=n, k=k, dist=dist, eps=eps, c2=1.0)
+            for dist in ("uniform", "two-level", "zipf:1", "point-mass")
+            for eps in (0.3, 0.6, 1.0)
+        ]
+        cold = []
+        for cfg in configs:
+            monkeypatch.setattr(harness, "_last_desk", None)
+            cold.append(competitive_json(cfg))
+        monkeypatch.setattr(harness, "_last_desk", None)
+        assert competitive_json(configs[0]) == cold[0]
+        table = harness._last_desk
+        for cfg, want in zip(configs, cold):
+            assert competitive_json(cfg) == want
+            assert harness._last_desk is table
+
+    @pytest.mark.parametrize(
+        "n,k,c2", [(5, 4, 1.0), (6, 3, 1.0), (6, 4, 2.0), (6, 4, 1)], ids=["n", "k", "c2", "c2-type"]
+    )
+    def test_another_n_k_or_c2_misses(self, monkeypatch, n, k, c2):
+        base = ExperimentConfig(n=6, k=4, dist="zipf:1", eps=0.6, c2=1.0)
+        other = ExperimentConfig(n=n, k=k, dist="zipf:1", eps=0.6, c2=c2)
+        monkeypatch.setattr(harness, "_last_desk", None)
+        cold = competitive_json(other)
+        run_competitive_check(base)
+        table = harness._last_desk
+        assert competitive_json(other) == cold
+        assert harness._last_desk is not table
+        assert (harness._last_desk.n, harness._last_desk.k, harness._last_desk.c2) == (n, k, c2)
+        assert type(harness._last_desk.c2) is type(c2)
+
+    def test_reports_do_not_share_state_with_the_table(self, monkeypatch):
+        cfg = ExperimentConfig(n=6, k=4, dist="two-level", eps=0.6, c2=1.0)
+        monkeypatch.setattr(harness, "_last_desk", None)
+        want = competitive_json(cfg)
+        rep = run_competitive_check(cfg)
+        for row in rep["pml"]:
+            row["pml_masses"][0] = -1.0
+            row["pml_masses"].append(7.0)
+            row["probability"] = -1.0
+        rep["pml"].clear()
+        assert competitive_json(cfg) == want
+        table = harness._last_desk
+        arrays = [table.R, table.rounded]
+        arrays += [phi.phi for phi in table.profiles]
+        arrays += [a for m in table.measures for a in (m.locations, m.weights)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    @pytest.mark.parametrize(
+        "cfg, error",
+        [
+            (ExperimentConfig(n=6, k=4, dist="cauchy", eps=0.6, c2=1.0), DomainError),
+            (ExperimentConfig(n=6, k=6, eps=0.6, c2=1.0), ResourceLimitError),
+            (ExperimentConfig(n=13, k=4, eps=0.6, c2=1.0), ResourceLimitError),
+            (ExperimentConfig(n=6, k=0, eps=0.6, c2=1.0), DomainError),
+        ],
+        ids=["unknown-family", "k-above-cap", "n-above-cap", "k=0"],
+    )
+    def test_warm_memo_raises_the_cold_error(self, monkeypatch, cfg, error):
+        monkeypatch.setattr(harness, "_last_desk", None)
+        with pytest.raises(error) as cold:
+            run_competitive_check(cfg)
+        run_competitive_check(ExperimentConfig(n=6, k=4, eps=0.6, c2=1.0))
+        table = harness._last_desk
+        with pytest.raises(error) as warm:
+            run_competitive_check(cfg)
+        assert str(warm.value) == str(cold.value)
+        assert harness._last_desk is table
 
 
 class TestApproxSweep:
@@ -463,6 +551,8 @@ class TestCLIDeterminism:
             ({"p.json": "[NaN, 0.5, 0.5]"},
              ["benchmark", "--n", "1024", "--k", "3", "--trials", "1", "--dist", "file:p.json"],
              "masses must be finite"),
+            ({"p.json": "[0.25, 0.25, 0.25, 0.25]"},
+             ["competitive", "--n", "5", "--k", "2", "--dist", "file:p.json"], "holds 4 masses, not k = 2"),
             ({"h.txt": "40\n1.5\n"}, ["estimate", "h.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
             ({}, ["estimate", "missing.txt", "--n", "64", "--c1", "2"], "cannot read counts"),
             ({"h.txt": "99999999999999999999\n"}, ["estimate", "h.txt"], "cannot read counts"),
@@ -499,7 +589,7 @@ class TestCLIDeterminism:
             ({}, ["approx", "--n-list", "1024", "--delta", "-2"], "delta must be"),
             ({}, ["approx", "--n-list", "1024", "--delta", "nan"], "delta must be"),
         ],
-        ids=["zipf:abc", "file:missing", "file:nan", "histogram-1.5", "histogram-missing",
+        ids=["zipf:abc", "file:missing", "file:nan", "file:k-mismatch", "histogram-1.5", "histogram-missing",
              "histogram-above-int64", "histogram-int64-wrap", "estimate-int64-wrap", "pml-above-cap", "abs@x",
              "n-list-10x", "profile-a,b", "profile-0,0", "profile-1,-1", "profile-index-3", "profile-no-phi",
              "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed",

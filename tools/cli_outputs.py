@@ -7,7 +7,8 @@ directory, so two source trees can be compared: the five commands of the
 CLI determinism criterion (estimate, benchmark, competitive, approx, pml),
 a (1e4, 5000) `zipf:1` benchmark of 3 trials at seed 101, the competitive
 checks of the `pml-desk` benchmark workload (n = 8, k = 4, eps = 0.6,
-c2 = 1 on `uniform`, `two-level` and `zipf:1`), a k_max = 5 PML whose
+c2 = 1 on `uniform`, `two-level` and `zipf:1`), the competitive check at
+the scale cap (n = 12, k = 4: 77 profiles), a k_max = 5 PML whose
 ascent runs through many sweeps, and the `approx-sweep` workload's
 `approx` run over n = 1024, 4096 and 16384, whose constructions glue wide
 blocks and whose checks evaluate many pmf windows together.  Outputs go
@@ -46,6 +47,7 @@ COMMANDS = {
         ]
         for dist in ("uniform", "two-level", "zipf:1")
     },
+    "competitive-cap": ["competitive", "--n", "12", "--k", "4", "--eps", "0.6", "--c2", "1", "--out", "{out}"],
     "pml-kmax5": ["pml", "--profile", "2,0,1", "--kmax", "5", "--out", "{out}/out.json"],
     "approx-sweep": ["approx", "--f", "abs", "--n-list", "1024,4096,16384", "--out", "{out}"],
 }
