@@ -21,12 +21,13 @@ __all__ = [
     "DiscreteDistribution",
     "Histogram",
     "Profile",
+    "ProfileBatch",
     "AtomicMeasure",
     "histogram_of_samples",
     "profile_of_histogram",
     "enumerate_profiles",
     "profile_probability",
-    "monomial_symmetric",
+    "profile_probability_many",
     "sorted_l1",
     "measure_of",
     "poisson_pmf",
@@ -272,30 +273,49 @@ def enumerate_profiles(n: int) -> list[Profile]:
     return [Profile(np.bincount(parts, minlength=n + 1)[1:]) for parts in _partitions(n, n, n)]
 
 
-def monomial_symmetric(p_rows: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
-    """m_lambda evaluated at each row of p_rows, lambda given by `parts`.
+class ProfileBatch:
+    """The profile side of `profile_probability_many` for a list of
+    profiles on k symbols, built once and kept by callers that score the
+    same profiles many times, every array read-only; profiles are capped
+    at n <= EXACT_SCALE_N.
 
-    A dynamic program over the k symbols: the state counts, per distinct
-    part value v, the parts of value v placed so far, and each symbol takes
-    no part or one part of value v with weight p_j^v.  The cost is
-    k * prod_v (mult_v + 1) * (distinct values) per row, mult_v being the
-    number of parts equal to v.  More parts than k never reach the full
-    state, so the result is exactly 0.
+    A profile with more parts than k gives exactly 0.0 and takes no part
+    in the DP.  Each other profile, in `live`, holds its distinct parts
+    `values` in ascending order (the int64 array np.unique gives), its
+    multiplicities as its full state `full` in one padded state `shape`
+    (the elementwise max of mult + 1 over the batch), and its multinomial
+    coefficient n!/prod_i (i!)^phi_i in `coefs`.  The DP holds two states
+    of prod(shape) x live profiles x rows doubles, so a caller with many
+    profiles and many rows blocks the rows.
     """
-    rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
-    values, mults = np.unique(np.asarray(parts, dtype=np.int64), return_counts=True)
-    # an array exponent takes pow for every v; numpy's scalar fast path
-    # squares by x*x, which can round apart from pow in the last bit
-    powers = rows.T ** values[:, None, None]
-    # the row axis last, so each transition is one contiguous broadcast
-    state = np.zeros((*(mults + 1), rows.shape[0]))
-    state[(0,) * values.size] = 1.0
-    for j in range(rows.shape[1]):
-        prev = state.copy()
-        for axis, pw in enumerate(powers):
-            before = (slice(None),) * axis
-            state[before + (slice(1, None),)] += prev[before + (slice(None, -1),)] * pw[j]
-    return state[tuple(mults.tolist())]
+
+    def __init__(self, profiles, k: int):
+        self.profiles = tuple(profiles)
+        self.k = k
+        if any(phi.n > EXACT_SCALE_N for phi in self.profiles):
+            raise ResourceLimitError(f"exact profile probability capped at n <= {EXACT_SCALE_N}")
+        live, values, mults = [], [], []
+        for i, phi in enumerate(self.profiles):
+            if phi.distinct_symbols > k:
+                continue
+            v = np.flatnonzero(phi.phi) + 1
+            live.append(i)
+            values.append(v.astype(np.int64, copy=False))
+            mults.append(phi.phi[v - 1])
+        self.live = np.asarray(live, dtype=np.intp)
+        self.values = tuple(values)
+        axes = max((v.size for v in values), default=0)
+        full = np.zeros((len(live), axes), dtype=np.intp)
+        for row, m in zip(full, mults):
+            row[: m.size] = m
+        self.shape = tuple((full.max(axis=0, initial=0) + 1).tolist())
+        self.full = full
+        self.coefs = np.asarray([_multinomial_coef(tuple(self.profiles[i].phi.tolist())) for i in live])
+        for array in (self.live, self.full, self.coefs, *self.values):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.profiles)
 
 
 def profile_probability(p: DiscreteDistribution, phi: Profile) -> float:
@@ -305,18 +325,47 @@ def profile_probability(p: DiscreteDistribution, phi: Profile) -> float:
     monomial symmetric polynomial of its parts at p; the polynomial is a
     dynamic program over p's symbols, so the cost is polynomial in k.
     """
-    if phi.n > EXACT_SCALE_N:
-        raise ResourceLimitError(f"exact profile probability capped at n <= {EXACT_SCALE_N}")
-    return float(profile_probability_many(p.masses[None, :], phi)[0])
+    return float(profile_probability_many(p.masses[None, :], ProfileBatch([phi], p.k))[0, 0])
 
 
-def profile_probability_many(p_rows: np.ndarray, phi: Profile) -> np.ndarray:
-    """Vectorized profile probability over rows of a mass matrix.
+def profile_probability_many(p_rows: np.ndarray, batch: ProfileBatch) -> np.ndarray:
+    """The probability of each profile of the batch under each row of a
+    mass matrix with batch.k columns, as a (profiles, rows) array.
 
-    Rows need not be validated distributions; used by grid searches.
+    Rows need not be validated distributions; used by grid searches.  One
+    dynamic program over the k symbols runs for the whole batch: the state
+    counts, per distinct part value, the parts of that value placed so far,
+    with profiles and rows as its last two axes, and each symbol takes no
+    part or one part of value v with weight p_j^v.  Axis a is the a-th
+    distinct value of each profile; a profile with fewer values gets power
+    0 on the axes beyond its own, so only its own box reaches its full
+    state, and it keeps the bytes it has in a batch of its own.
+
+    Each profile's powers come from its own `rows.T ** values[:, None, None]`,
+    stacked after: numpy picks the power algorithm by the exponent array,
+    and a one-element exponent takes the x*x fast path, so (1/3)**2 is
+    0.1111111111111111 by exponent [2] and 0.11111111111111109 by [1, 2].
+    A p**v table shared by the batch would move the bytes of (2, 2).
     """
-    coef = _multinomial_coef(tuple(phi.phi.tolist()))
-    return coef * monomial_symmetric(p_rows, phi.parts())
+    rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
+    if rows.shape[1] != batch.k:
+        raise DomainError(f"rows have {rows.shape[1]} masses, the batch is for k = {batch.k}")
+    out = np.zeros((len(batch), rows.shape[0]))
+    live = batch.live.size
+    if not live:
+        return out
+    powers = np.zeros((len(batch.shape), batch.k, live, rows.shape[0]))
+    for i, values in enumerate(batch.values):
+        powers[: values.size, :, i] = rows.T ** values[:, None, None]
+    state = np.zeros((*batch.shape, live, rows.shape[0]))
+    state[(0,) * len(batch.shape)] = 1.0
+    for j in range(batch.k):
+        prev = state.copy()
+        for axis, pw in enumerate(powers):
+            before = (slice(None),) * axis
+            state[before + (slice(1, None),)] += prev[before + (slice(None, -1),)] * pw[j]
+    out[batch.live] = batch.coefs[:, None] * state[(*batch.full.T, np.arange(live))]
+    return out
 
 
 @lru_cache(maxsize=4096)

@@ -22,6 +22,7 @@ from .core import (
     EXACT_SCALE_N,
     DiscreteDistribution,
     Profile,
+    ProfileBatch,
     _partitions,
     enumerate_profiles,
     profile_probability,
@@ -261,7 +262,8 @@ def brute_force_pml(
     if phi.distinct_symbols > k_max:
         # every row and every candidate scores 0, so the ascent cannot move
         return DiscreteDistribution(rows[0].copy()), 0.0
-    probs = profile_probability_many(rows, phi)
+    batch = ProfileBatch([phi], k_max)
+    probs = profile_probability_many(rows, batch)[0]
     # the first row within the ascent's gain tolerance of the best: on the
     # profile of one draw every row scores 1 up to rounding, and this
     # keeps float noise from picking the start
@@ -280,7 +282,7 @@ def brute_force_pml(
         cands = np.repeat(masses[None, :], src.size, axis=0)
         cands[np.arange(src.size), src] += t
         cands[np.arange(src.size), dst] -= t
-        probs = profile_probability_many(cands, phi)
+        probs = profile_probability_many(cands, batch)[0]
         g = int(np.argmax(probs))
         if probs[g] > best_prob * (1 + 1e-12):
             masses, best_prob = cands[g], float(probs[g])
@@ -289,7 +291,7 @@ def brute_force_pml(
     # the float masses the search scored may sum to 1 plus or minus an ulp
     masses = masses[np.argsort(-masses)]
     pml = DiscreteDistribution(masses / masses.sum())
-    return pml, min(profile_probability(pml, phi), 1.0)
+    return pml, min(float(profile_probability_many(pml.masses[None, :], batch)[0, 0]), 1.0)
 
 
 def good_set(
@@ -307,8 +309,12 @@ def good_set(
     if n > EXACT_SCALE_N:
         raise ResourceLimitError(f"good-set enumeration capped at n <= {EXACT_SCALE_N}")
     good = good_profiles(estimator, p, eps, loss, enumerate_profiles(n))
-    mass = sum(profile_probability(p, phi) for phi in good)
-    return good, mass
+    return good, _set_mass(p, good)
+
+
+def _set_mass(p: DiscreteDistribution, profiles: Sequence[Profile]) -> float:
+    """The total probability of the profiles under p, summed in their order."""
+    return sum(profile_probability_many(p.masses[None, :], ProfileBatch(profiles, p.k))[:, 0].tolist())
 
 
 def good_profiles(
@@ -342,15 +348,11 @@ def check_goodset_lemma(
         a = estimator(phi)
         if sorted_l1(p, q) > loss(a, p) + loss(a, q) + 1e-9:
             raise DomainError("loss is not compatible with the distance on this instance")
-    mass_q_good = sum(profile_probability(q, phi) for phi in good)
+    mass_q_good = _set_mass(q, good)
     if mass_q_good <= delta:
         return True
     n = good[0].n if good else 1
-    bad_mass_q = sum(
-        profile_probability(q, phi)
-        for phi in enumerate_profiles(n)
-        if loss(estimator(phi), q) > eps
-    )
+    bad_mass_q = _set_mass(q, [phi for phi in enumerate_profiles(n) if loss(estimator(phi), q) > eps])
     if bad_mass_q > delta:
         return True  # estimator assumption fails at q; implication is vacuous
     return sorted_l1(q, p) <= 2.0 * eps + 1e-12
@@ -426,10 +428,10 @@ def covering_constants(
     n = grid.n
     q_raw = quantize_to_grid(p, grid)
     q = DiscreteDistribution(q_raw / q_raw.sum())
-    profiles = enumerate_profiles(n)
-    probs_p = np.asarray([profile_probability(p, phi) for phi in profiles])
-    probs_q = np.asarray([profile_probability(q, phi) for phi in profiles])
-    count = len(profiles)
+    batch = ProfileBatch(enumerate_profiles(n), p.k)
+    probs_p = profile_probability_many(p.masses[None, :], batch)[:, 0]
+    probs_q = profile_probability_many(q.masses[None, :], batch)[:, 0]
+    count = len(batch)
     power = 1.0 / (1.0 - c0 * n**-s)
     scale = n ** (1.0 - 2.0 * r + s)
 

@@ -15,6 +15,7 @@ from sortdist.core import (
     AtomicMeasure,
     DiscreteDistribution,
     Histogram,
+    ProfileBatch,
     enumerate_profiles,
     measure_of,
     poisson_pmf,
@@ -301,7 +302,7 @@ def test_c09_pml_defining_property_and_rounding():
         for phi in enumerate_profiles(n):
             _, like = brute_force_pml(phi, k_max=5)
             rows = rng.dirichlet(np.ones(5), size=1000)
-            probs = profile_probability_many(rows, phi)
+            probs = profile_probability_many(rows, ProfileBatch([phi], 5))[0]
             if like == 0.0:
                 # profile shows more distinct symbols than the class supports
                 assert phi.distinct_symbols > 5 and probs.max() == 0.0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import sortdist
 from sortdist.core import (
@@ -14,17 +15,18 @@ from sortdist.core import (
     DiscreteDistribution,
     Histogram,
     Profile,
+    ProfileBatch,
     _partitions,
     binomial_pmf,
     enumerate_profiles,
     histogram_of_samples,
     measure_of,
-    monomial_symmetric,
     poisson_interval_prob,
     poisson_pmf,
     poisson_pmf_windows,
     profile_of_histogram,
     profile_probability,
+    profile_probability_many,
     sorted_l1,
 )
 from sortdist.errors import DomainError, ResourceLimitError
@@ -175,6 +177,38 @@ def _monomial_symmetric_by_placements(p_rows, parts):
     return np.prod(rows[:, idx] ** exps, axis=2).sum(axis=1)
 
 
+def dense_monomial_symmetric(p_rows, parts):
+    """Oracle: m_lambda at each row by the single-profile dynamic program
+    over the k symbols, the state counting the parts of each distinct value
+    placed so far, with the row axis last.  The powers come from one
+    array-exponent `**` over the profile's distinct values, as in
+    `profile_probability_many`."""
+    rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
+    values, mults = np.unique(np.asarray(parts, dtype=np.int64), return_counts=True)
+    powers = rows.T ** values[:, None, None]
+    state = np.zeros((*(mults + 1), rows.shape[0]))
+    state[(0,) * values.size] = 1.0
+    for j in range(rows.shape[1]):
+        prev = state.copy()
+        for axis, pw in enumerate(powers):
+            before = (slice(None),) * axis
+            state[before + (slice(1, None),)] += prev[before + (slice(None, -1),)] * pw[j]
+    return state[tuple(mults.tolist())]
+
+
+def dense_profile_probability_many(p_rows, phi):
+    """Oracle: the profile's multinomial coefficient times the dense DP."""
+    n = phi.n
+    log_coef = gammaln(n + 1) - sum(gammaln(i + 1) * int(phi.phi[i - 1]) for i in range(1, n + 1))
+    return math.exp(log_coef) * dense_monomial_symmetric(p_rows, phi.parts())
+
+
+def multinomial_coef(phi):
+    """n! / prod_i (i!)^phi_i in exact integers, then rounded to a float."""
+    denom = math.prod(math.factorial(i + 1) ** int(c) for i, c in enumerate(phi.phi))
+    return math.factorial(phi.n) / denom
+
+
 def _profile_probability_by_sequences(p, phi):
     """Oracle: enumerate all k^n ordered sequences (tiny scale only)."""
     k, n = p.k, phi.n
@@ -226,29 +260,90 @@ class TestProfileProbability:
             assert profile_probability(padded, phi) == pytest.approx(base, rel=1e-12, abs=1e-15)
 
     def test_monomial_symmetric_ignores_part_order(self):
+        # the oracle reads the parts as a multiset; a batch reads each
+        # profile's bytes wherever it stands and whatever stands beside it
         rows = np.random.default_rng(6).random((7, 5))
         for parts in [(3, 1, 1), (2, 2, 1, 1), (4, 2, 1), (1, 1, 1, 1, 1)]:
-            want = monomial_symmetric(rows, parts).tobytes()
+            want = dense_monomial_symmetric(rows, parts).tobytes()
             for perm in set(itertools.permutations(parts)):
-                assert monomial_symmetric(rows, perm).tobytes() == want
+                assert dense_monomial_symmetric(rows, perm).tobytes() == want
+        profiles = enumerate_profiles(6)
+        alone = [profile_probability_many(rows, ProfileBatch([phi], 5))[0] for phi in profiles]
+        positions = list(range(len(profiles)))
+        for order in (positions, positions[::-1], positions[1::2] + positions[::2]):
+            got = profile_probability_many(rows, ProfileBatch([profiles[i] for i in order], 5))
+            for i, row in zip(order, got):
+                assert row.tobytes() == alone[i].tobytes()
 
     def test_monomial_symmetric_matches_the_placement_sum(self):
         rng = np.random.default_rng(7)
         for k in (1, 3, 5, 8):
             rows = rng.dirichlet(np.ones(k), size=7)
             for n in range(1, 13):
-                for phi in enumerate_profiles(n):
+                profiles = enumerate_profiles(n)
+                probs = profile_probability_many(rows, ProfileBatch(profiles, k))
+                for phi, got in zip(profiles, probs):
                     parts = phi.parts()
-                    got = monomial_symmetric(rows, parts)
                     if len(parts) > k:
                         assert np.all(got == 0.0), (k, parts)
                         continue
-                    want = _monomial_symmetric_by_placements(rows, parts)
+                    want = multinomial_coef(phi) * _monomial_symmetric_by_placements(rows, parts)
                     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"{k} {parts}")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("nrows", [1, 22])
+    def test_batch_matches_the_dense_dp_byte_for_byte(self, k, nrows):
+        rng = np.random.default_rng(100 * k + nrows)
+        rows = rng.dirichlet(np.ones(k), size=nrows)
+        rows[0] = 1.0 / k
+        for n in range(1, 13):
+            profiles = enumerate_profiles(n)
+            got = profile_probability_many(rows, ProfileBatch(profiles, k))
+            assert got.shape == (len(profiles), nrows)
+            for phi, row in zip(profiles, got):
+                assert row.tobytes() == dense_profile_probability_many(rows, phi).tobytes(), (k, phi.parts())
+
+    @pytest.mark.parametrize("parts", [(2, 2), (4, 4), (2, 2, 2, 2)])
+    def test_all_equal_parts_keep_the_bytes_of_their_own_powers(self, parts):
+        # a one-element exponent takes numpy's x*x fast path, so these
+        # profiles read p**2 or p**4 apart from the pow that a longer
+        # exponent array takes: 1/3 squares to 0.1111111111111111 by [2]
+        # and to 0.11111111111111109 by [1, 2]
+        assert (np.full((1, 1), 1 / 3) ** np.asarray([2])[:, None, None]).item() == 0.1111111111111111
+        assert (np.full((1, 1), 1 / 3) ** np.asarray([1, 2])[:, None, None])[1].item() == 0.11111111111111109
+        profiles = enumerate_profiles(sum(parts))
+        (at,) = [i for i, g in enumerate(profiles) if g.parts() == parts]
+        phi = profiles[at]
+        for k in (3, 4, 5):
+            rng = np.random.default_rng(k)
+            for rows in (np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), size=22)):
+                got = profile_probability_many(rows, ProfileBatch(profiles, k))
+                want = dense_profile_probability_many(rows, phi).tobytes()
+                assert got[at].tobytes() == want
+                assert profile_probability_many(rows, ProfileBatch([phi], k))[0].tobytes() == want
+
+    def test_more_parts_than_k_give_exactly_zero(self):
+        rows = np.random.default_rng(8).dirichlet(np.ones(3), size=5)
+        profiles = enumerate_profiles(7)
+        batch = ProfileBatch(profiles, 3)
+        got = profile_probability_many(rows, batch)
+        for phi, row in zip(profiles, got):
+            if phi.distinct_symbols > 3:
+                assert row.tobytes() == np.zeros(5).tobytes()
+            else:
+                assert np.all(row > 0.0)
+        assert batch.live.tolist() == [i for i, phi in enumerate(profiles) if phi.distinct_symbols <= 3]
+        assert profile_probability_many(rows, ProfileBatch([profiles[-1]], 3)).tobytes() == np.zeros((1, 5)).tobytes()
+
+    def test_rows_must_have_the_batch_k_masses(self):
+        with pytest.raises(DomainError):
+            profile_probability_many(np.full((2, 4), 0.25), ProfileBatch(enumerate_profiles(4), 3))
 
     def test_scale_cap(self):
         with pytest.raises(ResourceLimitError):
             profile_probability(dist(0.5, 0.5), enumerate_profiles(13)[0])
+        with pytest.raises(ResourceLimitError):
+            ProfileBatch(enumerate_profiles(13)[:1], 2)
 
     def test_large_support(self):
         # k is not capped

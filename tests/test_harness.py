@@ -17,7 +17,7 @@ from sortdist.core import (
     profile_probability,
 )
 from sortdist.errors import DomainError, ResourceLimitError
-from sortdist import harness
+from sortdist import core, harness
 from sortdist.harness import (
     COMPETITIVE_C1,
     ExperimentConfig,
@@ -408,12 +408,36 @@ class TestDeskTableMemo:
         rep["pml"].clear()
         assert competitive_json(cfg) == want
         table = harness._last_desk
-        arrays = [table.R, table.rounded]
+        arrays = [table.R, table.rounded, table.sorted_pml, table.batch.full, table.batch.coefs]
         arrays += [phi.phi for phi in table.profiles]
         arrays += [a for m in table.measures for a in (m.locations, m.weights)]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_a_warm_pass_makes_one_profile_probability_call(self, monkeypatch):
+        # both names perfbench's trace hooks, as its span counts them
+        calls = []
+        real = core.profile_probability_many
+
+        def spy(p_rows, batch):
+            calls.append((np.shape(p_rows), len(batch)))
+            return real(p_rows, batch)
+
+        configs = [ExperimentConfig(n=8, k=4, dist=dist, eps=0.6, c2=1.0) for dist in ("uniform", "two-level", "zipf:1")]
+        monkeypatch.setattr(harness, "_last_desk", None)
+        want = [competitive_json(cfg) for cfg in configs]
+        monkeypatch.setattr(harness, "_last_desk", None)
+        monkeypatch.setattr(core, "profile_probability_many", spy)
+        monkeypatch.setattr(pml_module, "profile_probability_many", spy)
+        run_competitive_check(configs[0])
+        # R and the pass take the whole batch; every other call is one
+        # profile's PML search
+        assert [c for c in calls if c[1] != 1] == [((22, 4), 22), ((1, 4), 22)]
+        for cfg, text in zip(configs, want):
+            calls.clear()
+            assert competitive_json(cfg) == text
+            assert calls == [((1, 4), 22)]
 
     @pytest.mark.parametrize(
         "cfg, error",

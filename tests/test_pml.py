@@ -3,21 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from sortdist.core import (
     AtomicMeasure,
     DiscreteDistribution,
     Histogram,
     enumerate_profiles,
+    ProfileBatch,
     measure_of,
-    monomial_symmetric,
     poisson_pmf,
     profile_of_histogram,
     profile_probability,
     profile_probability_many,
 )
 from sortdist import pml as pml_module
+from test_core import dense_profile_probability_many
 from sortdist.errors import DomainError, ResourceLimitError
 from sortdist.pml import (
     QuantGrid,
@@ -35,6 +35,12 @@ from sortdist.pml import (
     quantize_to_grid,
 )
 from sortdist.wasserstein import w1
+
+
+def one_profile_probabilities(p_rows, phi):
+    """profile_probability_many over a batch of the one profile."""
+    rows = np.atleast_2d(p_rows)
+    return profile_probability_many(rows, ProfileBatch([phi], rows.shape[1]))[0]
 
 
 def random_m0(rng, k, n, A=2.0):
@@ -244,7 +250,7 @@ class TestBruteForcePML:
             for phi in enumerate_profiles(n):
                 _, like = brute_force_pml(phi, k_max=4, grid_resolution=24)
                 rows = rng.dirichlet(np.ones(4), size=300)
-                probs = profile_probability_many(rows, phi)
+                probs = one_profile_probabilities(rows, phi)
                 assert probs.max() <= like * 1.02 + 1e-12
 
     def test_scale_cap(self):
@@ -274,7 +280,7 @@ def one_pair_at_a_time_pml(phi, k_max=5, grid_resolution=60):
     brute_force_pml may not fall below."""
     ascent_steps = 200
     rows = pml_module._sorted_grid_rows(grid_resolution, k_max)
-    probs = profile_probability_many(rows, phi)
+    probs = one_profile_probabilities(rows, phi)
     best = int(np.argmax(probs >= probs.max() * (1 - 1e-12)))
     masses = rows[best].copy()
     best_prob = float(probs[best])
@@ -293,7 +299,7 @@ def one_pair_at_a_time_pml(phi, k_max=5, grid_resolution=60):
                 cand = masses.copy()
                 cand[i] += t
                 cand[j] -= t
-                prob = float(profile_probability_many(cand[None, :], phi)[0])
+                prob = float(one_profile_probabilities(cand[None, :], phi)[0])
                 if prob > best_prob * (1 + 1e-12):
                     masses, best_prob, improved = cand, prob, True
                 if steps_done >= ascent_steps:
@@ -347,13 +353,13 @@ def test_no_pair_move_of_the_last_step_gains(k_max):
             p, like = brute_force_pml(phi, k_max=k_max)
             if like == 0.0:
                 continue
-            base = float(profile_probability_many(p.masses[None, :], phi)[0])
+            base = float(one_profile_probabilities(p.masses[None, :], phi)[0])
             cands = np.repeat(p.masses[None, :], len(pairs), axis=0)
             for row, (i, j) in enumerate(pairs):
                 t = min(last_step, p.masses[j])
                 cands[row, i] += t
                 cands[row, j] -= t
-            probs = profile_probability_many(cands, phi)
+            probs = one_profile_probabilities(cands, phi)
             assert probs.max() <= base * (1 + 1e-12), (phi.parts(), k_max)
             checked += 1
     assert checked > 0
@@ -368,22 +374,17 @@ def test_more_distinct_symbols_than_k_max_scores_zero():
         assert p.masses.tolist() == [1.0] + [0.0] * (k_max - 1)
 
 
-def uncached_profile_probability_many(p_rows, phi):
-    """profile_probability_many with its multinomial coefficient recomputed."""
-    n = phi.n
-    log_coef = gammaln(n + 1) - sum(gammaln(i + 1) * int(phi.phi[i - 1]) for i in range(1, n + 1))
-    return math.exp(log_coef) * monomial_symmetric(p_rows, phi.parts())
-
-
 def test_profile_probability_many_equals_the_uncached_coefficient_form():
+    # the oracle recomputes the multinomial coefficient and runs the dense
+    # single-profile DP
     rng = np.random.default_rng(12)
     for n in range(1, 13):
         for phi in enumerate_profiles(n):
             k = int(rng.integers(1, 9))
             rows = rng.dirichlet(np.ones(k), size=5)
-            for _ in range(2):  # the second call reads the cache
-                got = profile_probability_many(rows, phi)
-                assert got.tobytes() == uncached_profile_probability_many(rows, phi).tobytes()
+            for _ in range(2):  # the second batch reads the cache
+                got = one_profile_probabilities(rows, phi)
+                assert got.tobytes() == dense_profile_probability_many(rows, phi).tobytes()
 
 
 def unpruned_grid_rows(resolution, k_max):

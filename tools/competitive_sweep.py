@@ -20,9 +20,14 @@ either probability is not strictly between 0 and 1.  The file is a pure
 function of the tree, so two trees can be compared byte for byte.
 
 --repeats times the whole sweep that many times, each from an empty memo,
-and prints one JSON object: the times and their median, the desk tables
-built per sweep (null on a tree with no `DeskTable`), the process peak RSS
-and the SHA-256 of the rows.
+and then the warm passes alone that many times: per n, one untimed check
+builds the table and the nine checks that read it are timed, so the pass
+cost is reported apart from the cold builds (on a tree that keeps no
+table every check builds, and the warm times are cold ones).  It prints
+one JSON object: the sweep times and their median, the desk tables built
+per sweep (null on a tree with no `DeskTable`), the summed time of the 81
+warm passes per repeat and its median, the process peak RSS and the
+SHA-256 of the rows.
 """
 
 from __future__ import annotations
@@ -50,12 +55,30 @@ def exponent(direct: float, delta: float) -> float | None:
     return None
 
 
+def check(harness, n: int, family: str, eps: float) -> dict:
+    return harness.run_competitive_check(harness.ExperimentConfig(n=n, k=K, dist=family, eps=eps, c2=C2))
+
+
+def warm_passes(harness) -> float:
+    """Seconds of the 81 checks, each n's table built by an untimed check first."""
+    spent = 0.0
+    for n in NS:
+        harness._last_desk = None
+        check(harness, n, FAMILIES[0], EPS[0])
+        for family in FAMILIES:
+            for eps in EPS:
+                start = time.perf_counter()
+                check(harness, n, family, eps)
+                spent += time.perf_counter() - start
+    return spent
+
+
 def sweep(harness) -> list[dict]:
     rows = []
     for n in NS:
         for family in FAMILIES:
             for eps in EPS:
-                rep = harness.run_competitive_check(harness.ExperimentConfig(n=n, k=K, dist=family, eps=eps, c2=C2))
+                rep = check(harness, n, family, eps)
                 curves = rep["curves"]
                 rows.append({
                     "n": n, "k": K, "family": family, "eps": eps,
@@ -106,9 +129,10 @@ def main(argv: list[str] | None = None) -> int:
             rows = sweep(harness)
             times.append(time.perf_counter() - start)
             table_builds.append(builds)
+        warm = [warm_passes(harness) for _ in range(args.repeats)]
         print(json.dumps({
             "points": len(rows), "sweep_s": times, "sweep_s_median": statistics.median(times),
-            "table_builds": table_builds,
+            "table_builds": table_builds, "warm_passes_s": warm, "warm_passes_s_median": statistics.median(warm),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
         }))
