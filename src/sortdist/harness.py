@@ -15,10 +15,8 @@ import numpy as np
 from . import core
 from .core import (
     EXACT_SCALE_N,
-    AtomicMeasure,
     DiscreteDistribution,
     Histogram,
-    Profile,
     ProfileBatch,
     enumerate_profiles,
     measure_of,
@@ -31,7 +29,7 @@ from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
 # good_set is not called here; it stays importable because the benchmark's
 # trace hooks the name harness.good_set
-from .pml import PML_K_CAP, brute_force_pml, good_profiles, good_set, min_prob_round  # noqa: F401
+from .pml import PML_K_CAP, brute_force_pml, good_set, min_prob_round  # noqa: F401
 from .poisson_approx import (
     DEFAULT_APPROX_C1,
     DEFAULT_APPROX_C2,
@@ -238,7 +236,6 @@ class DeskTable:
         self.n, self.k, self.c2 = n, k, c2
         self.profiles = tuple(enumerate_profiles(n))
         self.batch = ProfileBatch(self.profiles, k)
-        self.index = {tuple(phi.phi.tolist()): i for i, phi in enumerate(self.profiles)}
         self.profile_json = tuple(phi.to_sparse_json() for phi in self.profiles)
         measures, pml_masses, likelihoods, rounded = [], [], [], []
         # all the LPs, then all the PMLs: alternating the two made a cold
@@ -268,10 +265,6 @@ class DeskTable:
         self.rounded.flags.writeable = False
         self.R = core.profile_probability_many(self.rounded, self.batch)
         self.R.flags.writeable = False
-
-    def estimate(self, phi: Profile) -> AtomicMeasure:
-        """The estimator's measure of a profile of size n."""
-        return self.measures[self.index[tuple(phi.phi.tolist())]]
 
 
 # The last desk table built.  A check of equal n, k and c2, each of the same
@@ -310,15 +303,10 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
         table = _last_desk = DeskTable(n, k, c2, scheme)
 
     mu_p = measure_of(p)
-
-    def loss(measure, q):
-        return q.k * w1(measure, mu_p if q is p else measure_of(q))
-
     eps = config.eps
     probs = core.profile_probability_many(p.masses[None, :], table.batch)[:, 0].tolist()
-    good = good_profiles(table.estimate, p, eps, loss, table.profiles)
-    # good_profiles keeps the profile order, so these indices ascend
-    good_idx = [table.index[tuple(g.phi.tolist())] for g in good]
+    # in profile order, so the sums over the good set add in that order
+    good_idx = [i for i, m in enumerate(table.measures) if k * w1(m, mu_p) <= eps]
     good_mass = sum(probs[i] for i in good_idx)
     delta_emp = 1.0 - good_mass
 
@@ -357,7 +345,7 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
         "config": {**json.loads(config.to_json()), "c1": COMPETITIVE_C1},
         "eps": eps,
         "eps_prime": table.eps_prime,
-        "good_set_size": len(good),
+        "good_set_size": len(good_idx),
         "good_set_mass": good_mass,
         "delta_empirical": delta_emp,
         "direct_failure_probability": direct_failure,

@@ -2,15 +2,18 @@
 
 Brute-force profile maximum likelihood over a simplex grid refined by a
 pairwise mass-transfer ascent, the geometric quantization grid with its
-multiplicative covering guarantees, Poisson power-divergence closed forms,
-the closeness relation used for minimum-mass rounding, good-profile sets,
-and the exponent schedule solving the chained covering equations.
+multiplicative covering guarantees, the exact covering constant of a grid
+image over every subset of the profile space (from sorted prefixes),
+Poisson power-divergence closed forms, the closeness relation used for
+minimum-mass rounding, good-profile sets, and the exponent schedule
+solving the chained covering equations.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -42,7 +45,6 @@ __all__ = [
     "brute_force_pml",
     "check_brute_force_caps",
     "good_set",
-    "good_profiles",
     "check_goodset_lemma",
     "chain_params",
     "covering_constants",
@@ -69,6 +71,8 @@ class QuantGrid:
 
     @staticmethod
     def build(n: int, A: float = 2.0, r: float = 0.5) -> "QuantGrid":
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"n must be a positive integer, got {n!r}")
         if A < 2:
             raise DomainError("A must be at least 2")
         if not 0 < r <= 0.5:
@@ -308,24 +312,13 @@ def good_set(
     """
     if n > EXACT_SCALE_N:
         raise ResourceLimitError(f"good-set enumeration capped at n <= {EXACT_SCALE_N}")
-    good = good_profiles(estimator, p, eps, loss, enumerate_profiles(n))
+    good = [phi for phi in enumerate_profiles(n) if loss(estimator(phi), p) <= eps]
     return good, _set_mass(p, good)
 
 
 def _set_mass(p: DiscreteDistribution, profiles: Sequence[Profile]) -> float:
     """The total probability of the profiles under p, summed in their order."""
     return sum(profile_probability_many(p.masses[None, :], ProfileBatch(profiles, p.k))[:, 0].tolist())
-
-
-def good_profiles(
-    estimator: Callable[[Profile], AtomicMeasure],
-    p: DiscreteDistribution,
-    eps: float,
-    loss: Callable[[AtomicMeasure, DiscreteDistribution], float],
-    profiles: Sequence[Profile],
-) -> list[Profile]:
-    """The profiles, in the given order, on which the estimator lands within eps of p."""
-    return [phi for phi in profiles if loss(estimator(phi), p) <= eps]
 
 
 def check_goodset_lemma(
@@ -411,45 +404,39 @@ def covering_constants(
     r: float,
     s: float,
     c0: float = 0.5,
-    subsets: str = "all",
-    rng: np.random.Generator | None = None,
-    sample_count: int = 512,
 ) -> float:
     """Smallest constant making both covering inequalities hold for all S.
 
-    Exhausts every nonempty subset of the profile space when subsets="all"
-    (sample size capped so 2^|profiles| stays enumerable), and samples
-    `sample_count` of them when subsets="sample".  Returns the minimal c with
-        P(p, S) >= P(q, S)^(1/(1 - c0 n^-s)) exp(-c n^(1-2r+s))
-    and the mirrored inequality, q being the normalized grid image of p.
+    Returns the minimal c >= 0 with
+        P(p, S) >= P(q, S)^a exp(-c n^(1-2r+s)),  a = 1/(1 - c0 n^-s),
+    and the mirrored inequality, over every nonempty set S of profiles of
+    size n, q being the normalized grid image of p.
+
+    Exact without enumerating the subsets.  With P = P(p, S) and
+    Q = P(q, S), each inequality's need is a log Q - log P up to the
+    positive factor n^-(1-2r+s) (P and Q swapped for the mirror).  For
+    a >= 1 that is quasi-convex in (P, Q): its sublevel set
+    {Q <= (e^c P)^(1/a)} lies under a concave curve.  So its maximum over
+    the 2-D zonotope sum_phi [0, (p_phi, q_phi)], which holds every (P, Q),
+    sits at a vertex; scaling a point towards the origin only lowers the
+    need, so the origin (S empty) is never needed.  Every other vertex is a
+    prefix of the profiles sorted by q_phi / p_phi, in ascending or in
+    descending order, hence 2 * count prefix sums per inequality.
+    Profiles with p_phi = q_phi = 0 (the grid keeps p's zeros) add nothing
+    and are dropped.  Needs c0 n^-s in [0, 1), so that a >= 1.
     """
-    if subsets not in ("all", "sample"):
-        raise DomainError(f"subsets must be 'all' or 'sample', got {subsets!r}")
     n = grid.n
+    shrink = c0 * n**-s
+    if not 0.0 <= shrink < 1.0:
+        raise DomainError(f"c0 n^-s must lie in [0, 1), got {shrink!r}")
     q_raw = quantize_to_grid(p, grid)
     q = DiscreteDistribution(q_raw / q_raw.sum())
     batch = ProfileBatch(enumerate_profiles(n), p.k)
-    probs_p = profile_probability_many(p.masses[None, :], batch)[:, 0]
-    probs_q = profile_probability_many(q.masses[None, :], batch)[:, 0]
-    count = len(batch)
-    power = 1.0 / (1.0 - c0 * n**-s)
-    scale = n ** (1.0 - 2.0 * r + s)
-
-    if subsets == "all":
-        if count > 16:
-            raise ResourceLimitError("exhaustive subsets require at most 16 profiles")
-        masks = np.arange(1, 2**count)
-        bits = ((masks[:, None] >> np.arange(count)) & 1).astype(bool)
-    else:
-        gen = rng or np.random.default_rng(0)
-        bits = gen.random((sample_count, count)) < 0.5
-        bits[~bits.any(axis=1), 0] = True
-    sums_p = bits @ probs_p
-    sums_q = bits @ probs_q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p, log_q = np.log(sums_p), np.log(sums_q)
-        need_1 = (power * log_q - log_p) / scale  # P(p,S) side
-        need_2 = (power * log_p - log_q) / scale
-    needs = np.concatenate([need_1, need_2])
-    needs = needs[np.isfinite(needs)]
-    return float(max(0.0, needs.max()))
+    probs = profile_probability_many(np.stack([p.masses, q.masses]), batch)
+    probs = probs[probs.any(axis=1)]
+    probs = probs[np.argsort(probs[:, 1] / probs[:, 0])]
+    sums = np.concatenate([np.cumsum(probs, axis=0), np.cumsum(probs[::-1], axis=0)])
+    log_p, log_q = np.log(sums).T
+    power = 1.0 / (1.0 - shrink)
+    needs = np.concatenate([power * log_q - log_p, power * log_p - log_q])
+    return float(max(0.0, needs.max() / n ** (1.0 - 2.0 * r + s)))

@@ -241,7 +241,7 @@ def test_c07_covering_inequalities():
             k = int(rng.integers(2, 6))
             m = rng.random(k) + floor * k
             p = DiscreteDistribution(m / m.sum())
-            c = covering_constants(p, grid, r=r, s=s, c0=c0, subsets="all")
+            c = covering_constants(p, grid, r=r, s=s, c0=c0)
             per_draw.append((n, p, c))
             reported = max(reported, c)
             draws += 1

@@ -43,6 +43,7 @@ from sortdist.wasserstein import w1
 from sortdist.core import measure_of, sorted_l1_vectors
 from sortdist import pml as pml_module
 from sortdist.intervals import build_scheme
+from sortdist.lmm import estimate_sorted_distribution
 from sortdist.moments import degree_for
 from sortdist.pml import PML_RESOLUTION_CAP
 from sortdist.poisson_approx import build_poisson_approximation, evaluate, naive_coefficients, verify_bounds
@@ -250,6 +251,23 @@ class TestWilson:
         assert lo < 7 / 50 < hi
 
 
+def competitive_estimator(n, k, c2=1.0):
+    """The competitive check's estimator: the LP on each profile's histogram
+    of k symbols, at the check's scheme."""
+    scheme = build_scheme(n, COMPETITIVE_C1, "estimator")
+
+    def estimate(phi):
+        parts = phi.parts()
+        h = Histogram(np.asarray(parts + (0,) * (k - len(parts)), dtype=np.int64))
+        return estimate_sorted_distribution(h, k, scheme, c2=c2).measure
+
+    return estimate
+
+
+def k_w1_loss(measure, q):
+    return q.k * w1(measure, measure_of(q))
+
+
 class TestCompetitive:
     @pytest.fixture(autouse=True)
     def cold_desk(self, monkeypatch):
@@ -289,42 +307,30 @@ class TestCompetitive:
         assert seen == [COMPETITIVE_C1]
         assert rep["config"]["c1"] == COMPETITIVE_C1
 
-    def test_good_set_mass_equals_good_set(self, monkeypatch):
+    def test_good_set_mass_equals_good_set(self):
         # the report sums the row probabilities; good_set sums its own
-        calls = []
-
-        def spy(estimator, p, eps, loss, profiles):
-            calls.append((estimator, p, eps, loss))
-            return pml_module.good_profiles(estimator, p, eps, loss, profiles)
-
-        monkeypatch.setattr(harness, "good_profiles", spy)
         for dist in ("uniform", "zipf:1"):
-            calls.clear()
             rep = run_competitive_check(ExperimentConfig(n=6, k=3, dist=dist, eps=0.6, c2=1.0))
-            (args,) = calls
-            good, mass = pml_module.good_set(*args, 6)
+            good, mass = pml_module.good_set(
+                competitive_estimator(6, 3), make_distribution(dist, 3), 0.6, k_w1_loss, 6
+            )
             assert rep["good_set_size"] == len(good)
             assert rep["good_set_mass"] == mass
 
     # the indicator sum is positive on the two uniform cases and 0 on zipf:1
     @pytest.mark.parametrize("n,k,dist", [(5, 4, "uniform"), (8, 5, "uniform"), (8, 4, "zipf:1")])
-    def test_indicator_term_equals_the_pair_at_a_time_sum(self, monkeypatch, n, k, dist):
+    def test_indicator_term_equals_the_pair_at_a_time_sum(self, n, k, dist):
         # one batched call per good profile, summed in good-set order, gives
         # the bytes of one profile_probability call per pair
-        goods = []
-
-        def spy(estimator, p, eps, loss, profiles):
-            goods.append(pml_module.good_profiles(estimator, p, eps, loss, profiles))
-            return goods[-1]
-
-        monkeypatch.setattr(harness, "good_profiles", spy)
         rep = run_competitive_check(ExperimentConfig(n=n, k=k, dist=dist, eps=0.6, c2=1.0))
-        (good,) = goods
+        p = make_distribution(dist, k)
+        good, _ = pml_module.good_set(competitive_estimator(n, k), p, 0.6, k_w1_loss, n)
+        assert rep["good_set_size"] == len(good)
         want = 0.0
         for phi in good:
             rounded = pml_module.min_prob_round(pml_module.brute_force_pml(phi, k_max=k)[0], phi)
             if sum(profile_probability(rounded, g) for g in good) <= rep["delta_empirical"]:
-                want += profile_probability(make_distribution(dist, k), phi)
+                want += profile_probability(p, phi)
         assert rep["indicator_bound_term"] == want + rep["delta_empirical"]
 
     def test_pmls_on_the_bound_do_not_fail(self):

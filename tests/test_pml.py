@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -89,6 +90,11 @@ class TestQuantGrid:
         p = DiscreteDistribution([1 - 1e-5, 1e-5])
         with pytest.raises(DomainError):
             quantize_to_grid(p, g)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 8.0, "8", None])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match="positive integer"):
+            QuantGrid.build(n)
 
 
 class TestChiM:
@@ -519,6 +525,25 @@ class TestChainParams:
             chain_params(Fraction(0))
 
 
+def exhaustive_covering_constant(p, grid, r, s, c0=0.5):
+    """The covering constant as the largest need over all 2^count subsets."""
+    n = grid.n
+    q_raw = quantize_to_grid(p, grid)
+    q = DiscreteDistribution(q_raw / q_raw.sum())
+    batch = ProfileBatch(enumerate_profiles(n), p.k)
+    probs_p = profile_probability_many(p.masses[None, :], batch)[:, 0]
+    probs_q = profile_probability_many(q.masses[None, :], batch)[:, 0]
+    count = len(batch)
+    power = 1.0 / (1.0 - c0 * n**-s)
+    scale = n ** (1.0 - 2.0 * r + s)
+    masks = np.arange(1, 2**count)
+    bits = ((masks[:, None] >> np.arange(count)) & 1).astype(bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p, log_q = np.log(bits @ probs_p), np.log(bits @ probs_q)
+        needs = np.concatenate([power * log_q - log_p, power * log_p - log_q]) / scale
+    return float(max(0.0, needs[np.isfinite(needs)].max()))
+
+
 class TestCoveringConstants:
     def test_exhaustive_small_n(self):
         rng = np.random.default_rng(9)
@@ -529,22 +554,57 @@ class TestCoveringConstants:
                 c = covering_constants(p, grid, r=0.5, s=0.125)
                 assert np.isfinite(c) and c >= 0.0
 
-    def test_sampled_subsets_at_larger_n(self):
-        # 2^|profiles| is out of reach at n = 7; subset sampling still yields
-        # a finite certified constant
-        rng = np.random.default_rng(11)
-        n = 7
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_sorted_prefixes_match_every_subset(self, n):
+        # the prefix sums add in another order than the subset sums, so the
+        # two agree to rounding, not to the byte; skewed masses put the
+        # extreme ratios q_phi / p_phi inside the profile order, not only at
+        # its ends
+        rng = np.random.default_rng(100 + n)
         grid = QuantGrid.build(n)
-        p = random_m0(rng, 3, n)
-        c = covering_constants(p, grid, r=0.5, s=0.125, subsets="sample", rng=rng, sample_count=256)
-        assert np.isfinite(c) and c >= 0.0
+        floor = 1.0 / (2.0 * n**2)
+        dists = []
+        for k, zeros in ((2, 0), (3, 0), (4, 1), (5, 0), (7, 1)):
+            m = rng.dirichlet(np.full(k, 0.3)) + 2 * floor * k
+            m[:zeros] = 0.0
+            dists.append(DiscreteDistribution(m / m.sum()))
+        for p in dists:
+            for r, s in ((0.5, 0.125), (0.4, 0.15), (0.35, 0.05), (0.5, 0.0)):
+                for c0 in (0.5, 0.1, 0.0):
+                    want = exhaustive_covering_constant(p, grid, r, s, c0)
+                    assert abs(covering_constants(p, grid, r, s, c0) - want) <= 1e-12
 
-    @pytest.mark.parametrize("subsets", ["al", "ALL", "", "samples"])
-    def test_unknown_subsets_mode_is_rejected(self, subsets):
+    def test_sampled_subsets_at_larger_n(self):
+        # 2^count is out of reach at n = 8..12; the constant must still
+        # cover the need of each single profile and of 4,096 random subsets
+        rng = np.random.default_rng(11)
+        r, s, c0 = 0.5, 0.125, 0.5
+        for n, k in itertools.product(range(8, 13), (2, 4)):
+            grid = QuantGrid.build(n)
+            p = random_m0(rng, k, n)
+            c = covering_constants(p, grid, r, s, c0)
+            assert np.isfinite(c) and c >= 0.0
+            q_raw = quantize_to_grid(p, grid)
+            q = DiscreteDistribution(q_raw / q_raw.sum())
+            batch = ProfileBatch(enumerate_profiles(n), k)
+            probs = profile_probability_many(np.stack([p.masses, q.masses]), batch)
+            # the profiles with more than k distinct symbols have P = Q = 0
+            probs = probs[probs.any(axis=1)]
+            count = len(probs)
+            bits = np.vstack([np.eye(count, dtype=bool), rng.random((4096, count)) < 0.5])
+            bits = bits[bits.any(axis=1)]
+            log_p, log_q = np.log(bits @ probs).T
+            power = 1.0 / (1.0 - c0 * n**-s)
+            needs = np.concatenate([power * log_q - log_p, power * log_p - log_q])
+            assert c >= needs.max() / n ** (1.0 - 2 * r + s) - 1e-12
+
+    @pytest.mark.parametrize("c0,s", [(1.0, 0.0), (2.0, 0.125), (-0.5, 0.125), (math.nan, 0.125)])
+    def test_power_below_one_is_rejected(self, c0, s):
+        # the prefix argument needs a = 1/(1 - c0 n^-s) to be at least 1
         grid = QuantGrid.build(4)
-        p = DiscreteDistribution([0.5, 0.5])
-        with pytest.raises(DomainError, match="subsets"):
-            covering_constants(p, grid, r=0.5, s=0.125, subsets=subsets)
+        p = DiscreteDistribution([0.5, 0.3, 0.2])
+        with pytest.raises(DomainError, match="c0"):
+            covering_constants(p, grid, r=0.5, s=s, c0=c0)
 
     def test_reported_constant_certifies(self):
         # re-check both inequalities for every subset at the reported constant
