@@ -39,7 +39,7 @@ from .poisson_approx import (
     verify_bounds,
 )
 from .sampling import sample_iid, sample_poissonized, substream
-from .wasserstein import w1
+from .wasserstein import MeasureBatch, w1, w1_many
 
 __all__ = [
     "ExperimentConfig",
@@ -225,7 +225,8 @@ class DeskTable:
     `sorted_pml` in ascending order) and likelihood, its minimum-mass
     rounding (the rows of `rounded`) and eps' (the largest sorted l1
     between a PML and its rounding), the estimator's measure of each
-    profile, and R[g, phi] = P(rounded PML(phi), g).
+    profile, packed as the `MeasureBatch` `measures` that a pass scores
+    against p with one `w1_many` call, and R[g, phi] = P(rounded PML(phi), g).
 
     R is one `core.profile_probability_many` call of the batch over every
     rounded row.  The DP keeps rows and profiles apart, so each entry has
@@ -244,9 +245,7 @@ class DeskTable:
             phi.phi.flags.writeable = False
             parts = phi.parts()
             h = Histogram(np.asarray(parts + (0,) * (k - len(parts)), dtype=np.int64))
-            measure = estimate_sorted_distribution(h, k, scheme, c2=c2).measure
-            measure.locations.flags.writeable = measure.weights.flags.writeable = False
-            measures.append(measure)
+            measures.append(estimate_sorted_distribution(h, k, scheme, c2=c2).measure)
         eps_prime = 0.0
         for phi in self.profiles:
             pml, like = brute_force_pml(phi, k_max=k)
@@ -255,7 +254,7 @@ class DeskTable:
             pml_masses.append(tuple(pml.masses.tolist()))
             likelihoods.append(like)
             rounded.append(rounded_pml.masses)
-        self.measures = tuple(measures)
+        self.measures = MeasureBatch(measures)
         self.pml_masses = tuple(pml_masses)
         self.sorted_pml = np.sort(np.asarray(pml_masses), axis=1)
         self.sorted_pml.flags.writeable = False
@@ -286,7 +285,9 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     and kept until a check at another (n, k, c2): a sweep over families and
     eps at one (n, k, c2) builds one table.  The caps, the family and the
     scheme are checked on every call.  A pass over a kept table makes one
-    `core.profile_probability_many` call, for every profile under p.
+    `core.profile_probability_many` call, for every profile under p, and
+    finds the good set with one `w1_many` call, from the table's
+    `MeasureBatch` of estimator measures to p's measure.
     """
     global _last_desk
     n, k, c2 = config.n, config.k, config.c2
@@ -306,7 +307,7 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     eps = config.eps
     probs = core.profile_probability_many(p.masses[None, :], table.batch)[:, 0].tolist()
     # in profile order, so the sums over the good set add in that order
-    good_idx = [i for i, m in enumerate(table.measures) if k * w1(m, mu_p) <= eps]
+    good_idx = np.flatnonzero(k * w1_many(table.measures, mu_p) <= eps).tolist()
     good_mass = sum(probs[i] for i in good_idx)
     delta_emp = 1.0 - good_mass
 

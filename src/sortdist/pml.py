@@ -421,7 +421,8 @@ def covering_constants(
     sits at a vertex; scaling a point towards the origin only lowers the
     need, so the origin (S empty) is never needed.  Every other vertex is a
     prefix of the profiles sorted by q_phi / p_phi, in ascending or in
-    descending order, hence 2 * count prefix sums per inequality.
+    descending order, hence 2 * count prefix sums per inequality; the
+    longest, the whole set, has P = Q = 1 and needs exactly 0.
     Profiles with p_phi = q_phi = 0 (the grid keeps p's zeros) add nothing
     and are dropped.  Needs c0 n^-s in [0, 1), so that a >= 1.
     """
@@ -435,8 +436,10 @@ def covering_constants(
     probs = profile_probability_many(np.stack([p.masses, q.masses]), batch)
     probs = probs[probs.any(axis=1)]
     probs = probs[np.argsort(probs[:, 1] / probs[:, 0])]
-    sums = np.concatenate([np.cumsum(probs, axis=0), np.cumsum(probs[::-1], axis=0)])
+    # the last prefix in each order is the whole set, where P = Q = 1 and
+    # the need is exactly 0, not the few ulps its sums would give
+    sums = np.concatenate([np.cumsum(probs, axis=0)[:-1], np.cumsum(probs[::-1], axis=0)[:-1]])
     log_p, log_q = np.log(sums).T
     power = 1.0 / (1.0 - shrink)
     needs = np.concatenate([power * log_q - log_p, power * log_p - log_q])
-    return float(max(0.0, needs.max() / n ** (1.0 - 2.0 * r + s)))
+    return float(needs.max(initial=0.0) / n ** (1.0 - 2.0 * r + s))

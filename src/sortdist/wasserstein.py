@@ -12,7 +12,7 @@ import numpy as np
 from .core import AtomicMeasure
 from .errors import InvalidWitnessError, MassMismatchError
 
-__all__ = ["LipschitzWitness", "w1", "dual_value", "optimal_witness"]
+__all__ = ["LipschitzWitness", "MeasureBatch", "w1", "w1_many", "dual_value", "optimal_witness"]
 
 _MASS_TOL = 1e-10
 _SLOPE_TOL = 1e-12
@@ -80,6 +80,75 @@ def w1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     bp, f_mu, f_nu = _merged_cdfs(mu, nu)
     gaps = np.diff(bp)
     return float(np.abs(f_mu - f_nu)[:-1] @ gaps)
+
+
+class MeasureBatch:
+    """The fixed side of `w1_many` for a list of atomic measures, built once
+    and kept by callers that score the same measures against many nu, every
+    array read-only: per measure (one row each) its `locations` in
+    ascending order, padded with +inf to the widest row, its CDF
+    `cdfs` = [0, cumsum(weights)], padded with its last value, and its
+    `total_mass`.
+    """
+
+    def __init__(self, measures):
+        measures = tuple(measures)
+        width = max((m.locations.size for m in measures), default=0)
+        self.locations = np.full((len(measures), width), np.inf)
+        self.cdfs = np.zeros((len(measures), width + 1))
+        for loc, cdf, m in zip(self.locations, self.cdfs, measures):
+            size = m.locations.size
+            loc[:size] = m.locations
+            cdf[1 : size + 1] = np.cumsum(m.weights)
+            cdf[size + 1 :] = cdf[size]
+        self.total_mass = np.asarray([m.total_mass for m in measures], dtype=float)
+        for array in (self.locations, self.cdfs, self.total_mass):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.total_mass)
+
+
+def w1_many(batch: MeasureBatch, nu: AtomicMeasure) -> np.ndarray:
+    """`w1(mu, nu)` for each measure mu of the batch, as one array op.
+
+    Each row's breakpoints are its padded locations and nu's, sorted
+    together, so +inf sits behind and a location that both hold appears
+    twice, with a gap of 0 between the copies.  Its own CDF there is an
+    exact count of its locations <= each breakpoint, nu's a searchsorted,
+    and the gaps after the last finite breakpoint are 0.  Each row's sum
+    of |dF| * gap is one matmul of a (1, t) by a (t, 1) block, which numpy
+    hands to the BLAS dot that `w1`'s `@` calls: the same terms in the
+    same order, with terms of gap 0 among and behind them.  Where that dot
+    adds its terms in order, as OpenBLAS does for fewer than 16, a zero
+    term changes no bit, so each distance keeps `w1`'s bytes.  Here
+    t = (widest row) + (nu's atoms) - 1, at most 11 within the desk's caps
+    (n <= 12, k <= 5).  einsum or a sum over axis 1 round apart in the
+    last bit.
+    """
+    bad = np.flatnonzero(np.abs(batch.total_mass - nu.total_mass) > _MASS_TOL)
+    if bad.size:
+        raise MassMismatchError(
+            f"total masses differ: {float(batch.total_mass[bad[0]])!r} vs {nu.total_mass!r}"
+        )
+    rows = len(batch)
+    if nu.locations.size == 0 or batch.locations.shape[1] == 0:
+        return np.zeros(rows)
+    own = batch.locations
+    theirs = np.broadcast_to(nu.locations, (rows, nu.locations.size))
+    bp = np.sort(np.concatenate([own, theirs], axis=1), axis=1)
+    counts = (own[:, None, :] <= bp[:, :, None]).sum(axis=2)
+    f_mu = np.take_along_axis(batch.cdfs, counts, axis=1)
+    cum_nu = np.concatenate([[0.0], np.cumsum(nu.weights)])
+    f_nu = cum_nu[np.searchsorted(nu.locations, bp, side="right")]
+    # each +inf read as the row's last breakpoint, so the gaps after it are 0
+    last = bp[np.arange(rows), (bp < np.inf).sum(axis=1) - 1]
+    gaps = np.diff(np.minimum(bp, last[:, None]), axis=1)
+    d = np.abs(f_mu - f_nu)[:, :-1]
+    out = np.matmul(d[:, None, :], gaps[:, :, None])[:, 0, 0]
+    # a row with no atoms reads 0, as in w1
+    out[own[:, 0] == np.inf] = 0.0
+    return out
 
 
 def dual_value(f: LipschitzWitness, mu: AtomicMeasure, nu: AtomicMeasure) -> float:

@@ -416,7 +416,7 @@ class TestDeskTableMemo:
         table = harness._last_desk
         arrays = [table.R, table.rounded, table.sorted_pml, table.batch.full, table.batch.coefs]
         arrays += [phi.phi for phi in table.profiles]
-        arrays += [a for m in table.measures for a in (m.locations, m.weights)]
+        arrays += [table.measures.locations, table.measures.cdfs, table.measures.total_mass]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -444,6 +444,30 @@ class TestDeskTableMemo:
             calls.clear()
             assert competitive_json(cfg) == text
             assert calls == [((1, 4), 22)]
+
+    def test_a_warm_pass_calls_no_single_w1(self, monkeypatch):
+        # the good set is one w1_many call; harness.w1 is left to the
+        # benchmark's estimator loop
+        calls = []
+        real = harness.w1
+
+        def spy(mu, nu):
+            calls.append(mu)
+            return real(mu, nu)
+
+        configs = [ExperimentConfig(n=8, k=4, dist=dist, eps=0.6, c2=1.0) for dist in ("uniform", "two-level", "zipf:1")]
+        monkeypatch.setattr(harness, "_last_desk", None)
+        want = [competitive_json(cfg) for cfg in configs]
+        monkeypatch.setattr(harness, "w1", spy)
+        for cfg, text in zip(configs, want):
+            assert competitive_json(cfg) == text
+        assert calls == []
+        # and the good set is the one the per-profile loop finds
+        estimate = competitive_estimator(8, 4)
+        for cfg in configs:
+            p = make_distribution(cfg.dist, 4)
+            good = [phi for phi in harness._last_desk.profiles if k_w1_loss(estimate(phi), p) <= cfg.eps]
+            assert run_competitive_check(cfg)["good_set_size"] == len(good)
 
     @pytest.mark.parametrize(
         "cfg, error",

@@ -598,6 +598,24 @@ class TestCoveringConstants:
             needs = np.concatenate([power * log_q - log_p, power * log_p - log_q])
             assert c >= needs.max() / n ** (1.0 - 2 * r + s) - 1e-12
 
+    def test_the_whole_set_needs_exactly_zero(self):
+        # criterion 7's draws: the whole profile set has P = Q = 1, so a draw
+        # no proper subset of which needs a positive constant reads 0.0, not
+        # the few ulps (up to 1.7e-15) its sums gave; the two real constants
+        # keep their bytes
+        rng = np.random.default_rng(107)
+        constants = []
+        for n in (4, 5, 6):
+            grid = QuantGrid.build(n)
+            for _ in range(34 if n > 4 else 32):
+                floor = 2.0 / (2.0 * n**2)
+                k = int(rng.integers(2, 6))
+                m = rng.random(k) + floor * k
+                constants.append(covering_constants(DiscreteDistribution(m / m.sum()), grid, 0.5, 0.125, 0.5))
+        real = [c for c in constants if c != 0.0]
+        assert len(constants) == 100
+        assert real == [0.0003404182924229322, 0.0004648901133808173]
+
     @pytest.mark.parametrize("c0,s", [(1.0, 0.0), (2.0, 0.125), (-0.5, 0.125), (math.nan, 0.125)])
     def test_power_below_one_is_rejected(self, c0, s):
         # the prefix argument needs a = 1/(1 - c0 n^-s) to be at least 1
