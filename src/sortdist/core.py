@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, gammaincc
@@ -41,6 +40,8 @@ _MERGE_TOL = 1e-14
 
 PROFILE_ENUM_CAP = 20
 EXACT_SCALE_N = 12
+# doubles per DP state (256 KB): `profile_probability_many` blocks its rows to fit
+_DP_DOUBLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,8 @@ class AtomicMeasure:
     def is_probability(self) -> bool:
         return abs(self.total_mass - 1.0) <= _MASS_TOL
 
-    def pruned(self, tol: float = 0.0) -> "AtomicMeasure":
-        keep = self.weights > tol
+    def pruned(self) -> "AtomicMeasure":
+        keep = self.weights > 0.0
         return AtomicMeasure(self.locations[keep], self.weights[keep])
 
     def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
@@ -285,8 +286,8 @@ class ProfileBatch:
     multiplicities as its full state `full` in one padded state `shape`
     (the elementwise max of mult + 1 over the batch), and its multinomial
     coefficient n!/prod_i (i!)^phi_i in `coefs`.  The DP holds two states
-    of prod(shape) x live profiles x rows doubles, so a caller with many
-    profiles and many rows blocks the rows.
+    of prod(shape) x live profiles x rows doubles, so
+    `profile_probability_many` blocks the rows.
     """
 
     def __init__(self, profiles, k: int):
@@ -345,7 +346,9 @@ def profile_probability_many(p_rows: np.ndarray, batch: ProfileBatch) -> np.ndar
     stacked after: numpy picks the power algorithm by the exponent array,
     and a one-element exponent takes the x*x fast path, so (1/3)**2 is
     0.1111111111111111 by exponent [2] and 0.11111111111111109 by [1, 2].
-    A p**v table shared by the batch would move the bytes of (2, 2).
+    A p**v table shared by the batch would move the bytes of (2, 2).  The
+    rows go through in blocks of at least one row whose state fits in
+    _DP_DOUBLES; rows never mix, so blocking keeps every byte.
     """
     rows = np.atleast_2d(np.asarray(p_rows, dtype=float))
     if rows.shape[1] != batch.k:
@@ -354,21 +357,23 @@ def profile_probability_many(p_rows: np.ndarray, batch: ProfileBatch) -> np.ndar
     live = batch.live.size
     if not live:
         return out
-    powers = np.zeros((len(batch.shape), batch.k, live, rows.shape[0]))
-    for i, values in enumerate(batch.values):
-        powers[: values.size, :, i] = rows.T ** values[:, None, None]
-    state = np.zeros((*batch.shape, live, rows.shape[0]))
-    state[(0,) * len(batch.shape)] = 1.0
-    for j in range(batch.k):
-        prev = state.copy()
-        for axis, pw in enumerate(powers):
-            before = (slice(None),) * axis
-            state[before + (slice(1, None),)] += prev[before + (slice(None, -1),)] * pw[j]
-    out[batch.live] = batch.coefs[:, None] * state[(*batch.full.T, np.arange(live))]
+    block = max(1, _DP_DOUBLES // (math.prod(batch.shape) * live))
+    for first in range(0, rows.shape[0], block):
+        part = rows[first:first + block]
+        powers = np.zeros((len(batch.shape), batch.k, live, part.shape[0]))
+        for i, values in enumerate(batch.values):
+            powers[: values.size, :, i] = part.T ** values[:, None, None]
+        state = np.zeros((*batch.shape, live, part.shape[0]))
+        state[(0,) * len(batch.shape)] = 1.0
+        for j in range(batch.k):
+            prev = state.copy()
+            for axis, pw in enumerate(powers):
+                before = (slice(None),) * axis
+                state[before + (slice(1, None),)] += prev[before + (slice(None, -1),)] * pw[j]
+        out[batch.live, first:first + block] = batch.coefs[:, None] * state[(*batch.full.T, np.arange(live))]
     return out
 
 
-@lru_cache(maxsize=4096)
 def _multinomial_coef(phi: tuple[int, ...]) -> float:
     """n! / prod_i (i!)^phi_i, the sequences per histogram of the profile."""
     n = len(phi)

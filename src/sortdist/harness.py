@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from .core import (
     sorted_l1_vectors,
 )
 from .errors import DomainError, ResourceLimitError
-from .intervals import DEFAULT_C1, IntervalScheme, build_scheme
+from .intervals import DEFAULT_C1, build_scheme
 from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
 # good_set is not called here; it stays importable because the benchmark's
@@ -117,8 +118,6 @@ def make_distribution(dist: str, k: int) -> DiscreteDistribution:
         heavy = max(1, k // 10)
         masses = np.full(k, 0.1 / max(k - heavy, 1))
         masses[:heavy] = 0.9 / heavy
-        if k == heavy:
-            masses = np.full(k, 1.0 / k)
         return DiscreteDistribution(masses / masses.sum())
     if dist == "point-mass":
         masses = np.zeros(k)
@@ -230,10 +229,13 @@ class DeskTable:
 
     R is one `core.profile_probability_many` call of the batch over every
     rounded row.  The DP keeps rows and profiles apart, so each entry has
-    the bytes of a call for its one profile and the same rows.
+    the bytes of a call for its one profile and the same rows.  The
+    estimator's scheme (n at COMPETITIVE_C1) is built first, so an n it
+    rejects raises its error before any work.
     """
 
-    def __init__(self, n: int, k: int, c2: float, scheme: IntervalScheme):
+    def __init__(self, n: int, k: int, c2: float):
+        scheme = build_scheme(n, COMPETITIVE_C1, "estimator")
         self.n, self.k, self.c2 = n, k, c2
         self.profiles = tuple(enumerate_profiles(n))
         self.batch = ProfileBatch(self.profiles, k)
@@ -266,9 +268,11 @@ class DeskTable:
         self.R.flags.writeable = False
 
 
-# The last desk table built.  A check of equal n, k and c2, each of the same
-# type, reads it, so a hit is the table those very arguments would build.
-_last_desk: DeskTable | None = None
+@functools.lru_cache(maxsize=1, typed=True)
+def _desk_table(n: int, k: int, c2: float) -> DeskTable:
+    """The `DeskTable` of (n, k, c2), kept until a check at another three;
+    each matches by type and value, so a hit is the table they would build."""
+    return DeskTable(n, k, c2)
 
 
 def run_competitive_check(config: ExperimentConfig) -> dict:
@@ -282,26 +286,20 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
 
     All of that but the probabilities under p, the good set and the sums
     over it depends on (n, k, c2) alone and is a `DeskTable`, built once
-    and kept until a check at another (n, k, c2): a sweep over families and
-    eps at one (n, k, c2) builds one table.  The caps, the family and the
-    scheme are checked on every call.  A pass over a kept table makes one
-    `core.profile_probability_many` call, for every profile under p, and
-    finds the good set with one `w1_many` call, from the table's
+    and kept by `_desk_table` until a check at another (n, k, c2): a sweep
+    over families and eps at one (n, k, c2) builds one table.  The caps and
+    the family are checked on every call.  A pass over a kept table makes
+    one `core.profile_probability_many` call, for every profile under p,
+    and finds the good set with one `w1_many` call, from the table's
     `MeasureBatch` of estimator measures to p's measure.
     """
-    global _last_desk
     n, k, c2 = config.n, config.k, config.c2
     if n > EXACT_SCALE_N:
         raise ResourceLimitError(f"competitive check capped at n <= {EXACT_SCALE_N}")
     if k > PML_K_CAP:
         raise ResourceLimitError(f"competitive check capped at k <= {PML_K_CAP}")
     p = make_distribution(config.dist, k)
-    scheme = build_scheme(n, COMPETITIVE_C1, "estimator")
-    table = _last_desk
-    if table is None or any(
-        type(a) is not type(b) or a != b for a, b in ((table.n, n), (table.k, k), (table.c2, c2))
-    ):
-        table = _last_desk = DeskTable(n, k, c2, scheme)
+    table = _desk_table(n, k, c2)
 
     mu_p = measure_of(p)
     eps = config.eps

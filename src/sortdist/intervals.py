@@ -28,9 +28,10 @@ __all__ = ["IntervalScheme", "build_scheme", "locate", "localization_check", "DE
 DEFAULT_C1 = 42.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalScheme:
-    """Immutable record of the interval endpoints for one (n, c1, variant)."""
+    """Immutable record of the interval endpoints for one (n, c1, variant);
+    it hashes and compares by identity, so a cache on it hits one object."""
 
     n: int
     c1: float

@@ -34,12 +34,13 @@ the next moment is minimized.
 Only the right-hand side b and the constant tail cost read the histogram.
 Everything else (the grids, the columns, the slack costs c and the
 next-moment cost) depends on the scheme, k and the moment depth alone and
-lives in one read-only `GridColumns`: the module keeps the last one built,
-every LP of the same three shares it, and an `LPInstance` reads them from it.
+lives in one read-only `GridColumns`: `_grid_columns` keeps the last one
+built, and every LP of the same three shares it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -240,8 +241,8 @@ class GridColumns:
 @dataclass
 class LPInstance:
     """One histogram's estimator LP: the column source A, shared by every LP
-    of its (scheme, k, depth), and what the histogram decides.  The rest is
-    read from A, so an LP's costs and grids are always those of its columns."""
+    of its (scheme, k, depth), and what the histogram decides.  Costs, grids
+    and sizes are A's; `c` and `k` read A's slack costs and k."""
 
     A: GridColumns
     b: np.ndarray
@@ -249,12 +250,7 @@ class LPInstance:
     targets: MomentTable
 
     c = property(lambda lp: lp.A.c)
-    secondary = property(lambda lp: lp.A.secondary)
-    grids = property(lambda lp: lp.A.grids)
-    m_included = property(lambda lp: lp.A.m_included)
-    n_weights = property(lambda lp: lp.A.n_weights)
     k = property(lambda lp: lp.A.k)
-    scheme = property(lambda lp: lp.A.scheme)
 
 
 @dataclass
@@ -280,10 +276,11 @@ class EstimateResult:
         return json.dumps(payload, sort_keys=True)
 
 
-# The last column source built.  Holding its scheme keeps the scheme's id
-# from being reused, so a hit is the very scheme object, whatever its fields;
-# a k of another type misses, so `GridColumns` checks every k that is used.
-_last_columns: GridColumns | None = None
+@functools.lru_cache(maxsize=1, typed=True)
+def _grid_columns(scheme: IntervalScheme, k: int, depth: int) -> GridColumns:
+    """The column source of (scheme, k, depth), kept until an LP of another
+    three; the scheme matches by identity, k and depth by type and value."""
+    return GridColumns(scheme, k, depth)
 
 
 def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance:
@@ -295,17 +292,13 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
     in the order cumulative, degree 1..D.
 
     Only b and `objective_const` are built from the targets.  The column
-    source A, with the grids and costs, is built once per (scheme object, k,
-    depth) and shared by consecutive LPs of the same three (the module
-    docstring says how).
+    source A, with the grids and costs, is kept by `_grid_columns` and
+    shared by consecutive LPs of the same (scheme object, k, depth).
     """
-    global _last_columns
     depth = targets.depth
     if targets.M != scheme.M:
         raise DomainError("moment table and scheme disagree on interval count")
-    A = _last_columns
-    if A is None or A.scheme is not scheme or type(A.k) is not type(k) or A.k != k or A.depth != depth:
-        A = _last_columns = GridColumns(scheme, k, depth)
+    A = _grid_columns(scheme, k, depth)
     included = A.m_included
 
     n_res = (depth + 1) * len(included)
@@ -333,8 +326,8 @@ def build_lp(targets: MomentTable, scheme: IntervalScheme, k: int) -> LPInstance
 def solve_lp(lp: LPInstance) -> EstimateResult:
     """Solve to the optimal vertex of least next moment (the module docstring
     says which); returns the measure before zero-completion."""
-    res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.secondary, start=lp.A.start, price=lp.A.price)
-    w = res.x[:lp.n_weights]
+    res = simplex_solve(lp.c, lp.A, lp.b, secondary=lp.A.secondary, start=lp.A.start, price=lp.A.price)
+    w = res.x[:lp.A.n_weights]
     keep = w > _WEIGHT_EPS
     measure = AtomicMeasure(lp.A.points[keep], w[keep])
     return EstimateResult(
@@ -436,4 +429,4 @@ def estimate_sorted_distribution(
     partial = solve_lp(build_lp(targets, scheme, k))
     mu0 = partial.measure
     leftover = max(0.0, 1.0 - mu0.total_mass)
-    return replace(partial, measure=(mu0 + AtomicMeasure.dirac(0.0, leftover)).pruned(0.0))
+    return replace(partial, measure=(mu0 + AtomicMeasure.dirac(0.0, leftover)).pruned())

@@ -168,18 +168,19 @@ def is_close(p, p_prime, alpha: float, beta: float) -> bool:
     return True
 
 
-def min_prob_round(
-    p: DiscreteDistribution, phi: Profile, A: float = 2.0
-) -> DiscreteDistribution:
+ROUNDING_A = 2.0  # the paper's A: rounding floor 1/(2 n^A), cap n^-A, band 3 n^(-A/2)
+
+
+def min_prob_round(p: DiscreteDistribution, phi: Profile) -> DiscreteDistribution:
     """Raise tiny positive masses to the grid floor without losing likelihood.
 
-    Clamps sub-threshold masses up to 1/(2 n^A) and rescales the larger
-    masses down to restore normalization, then verifies the closeness
-    predicates and the e^-6 profile-likelihood retention; a fallback shaves
-    only the largest mass before giving up.  A p with no positive mass below
-    the floor is returned as it is.
+    Clamps sub-threshold masses up to 1/(2 n^A), A = ROUNDING_A, and
+    rescales the larger masses down to restore normalization, then verifies
+    the closeness predicates and the e^-6 profile-likelihood retention; a
+    fallback shaves only the largest mass before giving up.  A p with no
+    positive mass below the floor is returned as it is.
     """
-    n = phi.n
+    n, A = phi.n, ROUNDING_A
     floor = 1.0 / (2.0 * n**A)
     alpha, beta = n**-A, 3.0 * n ** (-A / 2.0)
     small = (p.masses > 0) & (p.masses < floor)

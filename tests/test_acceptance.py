@@ -317,7 +317,7 @@ def test_c09_pml_defining_property_and_rounding():
         p = DiscreteDistribution(raw / raw.sum())
         counts = rng.multinomial(n, p.masses)
         phi = profile_of_histogram(Histogram(counts))
-        out = min_prob_round(p, phi, 2.0)
+        out = min_prob_round(p, phi)
         floor = 1.0 / (2.0 * n**2)
         pos_ok = out.masses[out.masses > 0].min() >= floor - 1e-15
         close_ok = is_close(p.masses, out.masses, n**-2.0, 3.0 * n**-1.0)

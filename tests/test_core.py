@@ -303,6 +303,20 @@ class TestProfileProbability:
             for phi, row in zip(profiles, got):
                 assert row.tobytes() == dense_profile_probability_many(rows, phi).tobytes(), (k, phi.parts())
 
+    @pytest.mark.parametrize("budget", [1, 1 << 12], ids=["one-row", "few-rows"])
+    def test_row_blocks_keep_every_byte(self, monkeypatch, budget):
+        # the DP takes as many rows at a time as its state budget allows; a
+        # budget below one row's state still takes one row
+        rng = np.random.default_rng(9)
+        for k in (3, 4, 5):
+            rows = np.vstack([np.full(k, 1.0 / k), rng.dirichlet(np.ones(k), size=22)])
+            for n in (4, 8, 12):
+                batch = ProfileBatch(enumerate_profiles(n), k)
+                monkeypatch.setattr(sortdist.core, "_DP_DOUBLES", 1 << 62)
+                whole = profile_probability_many(rows, batch)
+                monkeypatch.setattr(sortdist.core, "_DP_DOUBLES", budget)
+                assert profile_probability_many(rows, batch).tobytes() == whole.tobytes(), (k, n)
+
     @pytest.mark.parametrize("parts", [(2, 2), (4, 4), (2, 2, 2, 2)])
     def test_all_equal_parts_keep_the_bytes_of_their_own_powers(self, parts):
         # a one-element exponent takes numpy's x*x fast path, so these

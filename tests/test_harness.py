@@ -186,6 +186,10 @@ class TestFamilies:
         assert p.masses[0] == pytest.approx(0.9 / 2)
         assert p.masses[-1] == pytest.approx(0.1 / 18)
 
+    def test_two_level_on_one_symbol_is_the_point_mass(self):
+        # the one heavy symbol takes 0.9, which normalizes to exactly 1.0
+        assert make_distribution("two-level", 1).masses.tolist() == [1.0]
+
     def test_file_source(self, tmp_path):
         path = tmp_path / "dist.json"
         path.write_text("[0.25, 0.75]")
@@ -270,9 +274,9 @@ def k_w1_loss(measure, q):
 
 class TestCompetitive:
     @pytest.fixture(autouse=True)
-    def cold_desk(self, monkeypatch):
+    def cold_desk(self):
         # each test builds its own desk table, so spies see the build
-        monkeypatch.setattr(harness, "_last_desk", None)
+        harness._desk_table.cache_clear()
 
     def test_huge_eps_no_failures(self):
         cfg = ExperimentConfig(n=5, k=3, dist="uniform", eps=2.0, c2=1.0)
@@ -355,9 +359,17 @@ class TestCompetitive:
         assert rep["indicator_bound_term"] == rep["delta_empirical"] == 1.0
 
     def test_runs_at_the_scale_cap(self):
-        rep = run_competitive_check(ExperimentConfig(n=12, k=4, dist="uniform", eps=0.6, c2=1.0))
+        # R's DP takes the 77 rounded rows in blocks, so the cold build
+        # peaks near 1.3 MB; as one block its states alone took 5 MB
+        tracemalloc.start()
+        try:
+            rep = run_competitive_check(ExperimentConfig(n=12, k=4, dist="uniform", eps=0.6, c2=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(rep["pml"]) == 77  # the partitions of 12
         assert rep["direct_failure_probability"] <= rep["indicator_bound_term"] + 1e-12
+        assert peak < 1.5e6
 
 
 def competitive_json(cfg: ExperimentConfig) -> str:
@@ -370,7 +382,7 @@ class TestDeskTableMemo:
     of one that builds its own."""
 
     @pytest.mark.parametrize("n,k", [(4, 3), (6, 4), (8, 4), (8, 5), (10, 4), (12, 4)])
-    def test_a_sweep_reads_one_table_and_reports_the_cold_bytes(self, monkeypatch, n, k):
+    def test_a_sweep_reads_one_table_and_reports_the_cold_bytes(self, n, k):
         configs = [
             ExperimentConfig(n=n, k=k, dist=dist, eps=eps, c2=1.0)
             for dist in ("uniform", "two-level", "zipf:1", "point-mass")
@@ -378,33 +390,36 @@ class TestDeskTableMemo:
         ]
         cold = []
         for cfg in configs:
-            monkeypatch.setattr(harness, "_last_desk", None)
+            harness._desk_table.cache_clear()
             cold.append(competitive_json(cfg))
-        monkeypatch.setattr(harness, "_last_desk", None)
-        assert competitive_json(configs[0]) == cold[0]
-        table = harness._last_desk
+        harness._desk_table.cache_clear()
         for cfg, want in zip(configs, cold):
             assert competitive_json(cfg) == want
-            assert harness._last_desk is table
+        info = harness._desk_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(configs) - 1, 1)
+        assert harness._desk_table(n, k, 1.0) is harness._desk_table(n, k, 1.0)
 
     @pytest.mark.parametrize(
         "n,k,c2", [(5, 4, 1.0), (6, 3, 1.0), (6, 4, 2.0), (6, 4, 1)], ids=["n", "k", "c2", "c2-type"]
     )
-    def test_another_n_k_or_c2_misses(self, monkeypatch, n, k, c2):
+    def test_another_n_k_or_c2_misses(self, n, k, c2):
         base = ExperimentConfig(n=6, k=4, dist="zipf:1", eps=0.6, c2=1.0)
         other = ExperimentConfig(n=n, k=k, dist="zipf:1", eps=0.6, c2=c2)
-        monkeypatch.setattr(harness, "_last_desk", None)
+        harness._desk_table.cache_clear()
         cold = competitive_json(other)
         run_competitive_check(base)
-        table = harness._last_desk
+        table = harness._desk_table(6, 4, 1.0)
+        misses = harness._desk_table.cache_info().misses
         assert competitive_json(other) == cold
-        assert harness._last_desk is not table
-        assert (harness._last_desk.n, harness._last_desk.k, harness._last_desk.c2) == (n, k, c2)
-        assert type(harness._last_desk.c2) is type(c2)
+        kept = harness._desk_table(n, k, c2)
+        assert harness._desk_table.cache_info().misses == misses + 1
+        assert kept is not table
+        assert (kept.n, kept.k, kept.c2) == (n, k, c2)
+        assert type(kept.c2) is type(c2)
 
-    def test_reports_do_not_share_state_with_the_table(self, monkeypatch):
+    def test_reports_do_not_share_state_with_the_table(self):
         cfg = ExperimentConfig(n=6, k=4, dist="two-level", eps=0.6, c2=1.0)
-        monkeypatch.setattr(harness, "_last_desk", None)
+        harness._desk_table.cache_clear()
         want = competitive_json(cfg)
         rep = run_competitive_check(cfg)
         for row in rep["pml"]:
@@ -413,7 +428,7 @@ class TestDeskTableMemo:
             row["probability"] = -1.0
         rep["pml"].clear()
         assert competitive_json(cfg) == want
-        table = harness._last_desk
+        table = harness._desk_table(6, 4, 1.0)
         arrays = [table.R, table.rounded, table.sorted_pml, table.batch.full, table.batch.coefs]
         arrays += [phi.phi for phi in table.profiles]
         arrays += [table.measures.locations, table.measures.cdfs, table.measures.total_mass]
@@ -431,9 +446,9 @@ class TestDeskTableMemo:
             return real(p_rows, batch)
 
         configs = [ExperimentConfig(n=8, k=4, dist=dist, eps=0.6, c2=1.0) for dist in ("uniform", "two-level", "zipf:1")]
-        monkeypatch.setattr(harness, "_last_desk", None)
+        harness._desk_table.cache_clear()
         want = [competitive_json(cfg) for cfg in configs]
-        monkeypatch.setattr(harness, "_last_desk", None)
+        harness._desk_table.cache_clear()
         monkeypatch.setattr(core, "profile_probability_many", spy)
         monkeypatch.setattr(pml_module, "profile_probability_many", spy)
         run_competitive_check(configs[0])
@@ -456,7 +471,7 @@ class TestDeskTableMemo:
             return real(mu, nu)
 
         configs = [ExperimentConfig(n=8, k=4, dist=dist, eps=0.6, c2=1.0) for dist in ("uniform", "two-level", "zipf:1")]
-        monkeypatch.setattr(harness, "_last_desk", None)
+        harness._desk_table.cache_clear()
         want = [competitive_json(cfg) for cfg in configs]
         monkeypatch.setattr(harness, "w1", spy)
         for cfg, text in zip(configs, want):
@@ -466,7 +481,7 @@ class TestDeskTableMemo:
         estimate = competitive_estimator(8, 4)
         for cfg in configs:
             p = make_distribution(cfg.dist, 4)
-            good = [phi for phi in harness._last_desk.profiles if k_w1_loss(estimate(phi), p) <= cfg.eps]
+            good = [phi for phi in harness._desk_table(8, 4, 1.0).profiles if k_w1_loss(estimate(phi), p) <= cfg.eps]
             assert run_competitive_check(cfg)["good_set_size"] == len(good)
 
     @pytest.mark.parametrize(
@@ -476,19 +491,22 @@ class TestDeskTableMemo:
             (ExperimentConfig(n=6, k=6, eps=0.6, c2=1.0), ResourceLimitError),
             (ExperimentConfig(n=13, k=4, eps=0.6, c2=1.0), ResourceLimitError),
             (ExperimentConfig(n=6, k=0, eps=0.6, c2=1.0), DomainError),
+            (ExperimentConfig(n=3, k=4, eps=0.6, c2=1.0), DomainError),
         ],
-        ids=["unknown-family", "k-above-cap", "n-above-cap", "k=0"],
+        ids=["unknown-family", "k-above-cap", "n-above-cap", "k=0", "n-below-scheme"],
     )
-    def test_warm_memo_raises_the_cold_error(self, monkeypatch, cfg, error):
-        monkeypatch.setattr(harness, "_last_desk", None)
+    def test_warm_memo_raises_the_cold_error(self, cfg, error):
+        harness._desk_table.cache_clear()
         with pytest.raises(error) as cold:
             run_competitive_check(cfg)
         run_competitive_check(ExperimentConfig(n=6, k=4, eps=0.6, c2=1.0))
-        table = harness._last_desk
+        table = harness._desk_table(6, 4, 1.0)
         with pytest.raises(error) as warm:
             run_competitive_check(cfg)
         assert str(warm.value) == str(cold.value)
-        assert harness._last_desk is table
+        # a build that raises keeps nothing, and the kept table stays
+        assert harness._desk_table.cache_info().currsize == 1
+        assert harness._desk_table(6, 4, 1.0) is table
 
 
 class TestApproxSweep:

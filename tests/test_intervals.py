@@ -75,6 +75,13 @@ class TestBuildScheme:
             assert s.cut_left[i] == pytest.approx(u * max(m - 2, 0) ** 2, rel=1e-13)
             assert s.cut_right[i] == pytest.approx(u * (m + 1) ** 2, rel=1e-13)
 
+    def test_hashes_and_compares_by_identity(self):
+        # the estimator's kept column source is keyed on the very scheme
+        a, b = build_scheme(1000), build_scheme(1000)
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert {a: 1}.get(b) is None
+
 
 class TestLocate:
     def test_zero(self):

@@ -72,19 +72,19 @@ class TestBuildLP:
         for k, counts in ((5, [32, 34, 32]), (2000, [4096, 4096, 1784])):
             lp = build_lp(tab, s, k)
             ranges = included_ranges(s)
-            assert lp.m_included == tuple(m for m, _, _ in ranges)
-            assert [g.size for g in lp.grids] == counts
+            assert lp.A.m_included == tuple(m for m, _, _ in ranges)
+            assert [g.size for g in lp.A.grids] == counts
             assert counts == [expected_grid_count(hi - lo, k, depth) for _, lo, hi in ranges]
-            n_int = len(lp.m_included)
-            assert lp.n_weights == sum(counts)
-            assert lp.c.size == lp.n_weights + (depth + 1) * n_int
+            n_int = len(lp.A.m_included)
+            assert lp.A.n_weights == sum(counts)
+            assert lp.c.size == lp.A.n_weights + (depth + 1) * n_int
             assert lp.A.shape == (2 * (depth + 1) * n_int + 2, lp.c.size)
 
     def test_grid_uniform_spacing(self):
         s = build_scheme(10**3)
         depth = 1
         lp = build_lp(zero_table(s, depth), s, 5)
-        for g, (_, lo, hi) in zip(lp.grids, included_ranges(s), strict=True):
+        for g, (_, lo, hi) in zip(lp.A.grids, included_ranges(s), strict=True):
             assert g[0] == lo and g[-1] == hi
             assert g.size == expected_grid_count(hi - lo, 5, depth)
             assert np.allclose(np.diff(g), (hi - lo) / (g.size - 1))
@@ -99,11 +99,11 @@ class TestBuildLP:
         rng = np.random.default_rng(11)
         tab = MomentTable(rng.normal(size=(s.M, depth + 1)))
         lp = build_lp(tab, s, k)
-        n_w = lp.n_weights
+        n_w = lp.A.n_weights
         w = rng.random(n_w)
-        parts = np.split(w, np.cumsum([g.size for g in lp.grids])[:-1])
+        parts = np.split(w, np.cumsum([g.size for g in lp.A.grids])[:-1])
         residual, slack_cost, secondary = {}, {}, []
-        for mi, (m, g, wm) in enumerate(zip(lp.m_included, lp.grids, parts)):
+        for mi, (m, g, wm) in enumerate(zip(lp.A.m_included, lp.A.grids, parts)):
             tl, c_m = float(s.tilde_len[m - 1]), float(s.centers[m - 1])
             for d in range(1, depth + 1):
                 residual[m, d] = (k * np.sum(wm * (g - c_m) ** d) - tab.value(m, d)) / tl**d
@@ -128,10 +128,10 @@ class TestBuildLP:
 
         mass, mean = np.flatnonzero(~slacks.any(axis=1))
         assert np.all(A[mass, :n_w] == 1.0) and lp.b[mass] == 1.0
-        assert np.array_equal(A[mean, :n_w], np.concatenate(lp.grids)) and lp.b[mean] == 1.0 / k
+        assert np.array_equal(A[mean, :n_w], np.concatenate(lp.A.grids)) and lp.b[mean] == 1.0 / k
         assert np.all(lp.c[:n_w] == 0.0)
-        assert lp.secondary[:n_w] == pytest.approx(np.concatenate(secondary), rel=1e-12)
-        assert np.all(lp.secondary[n_w:] == 0.0)
+        assert lp.A.secondary[:n_w] == pytest.approx(np.concatenate(secondary), rel=1e-12)
+        assert np.all(lp.A.secondary[n_w:] == 0.0)
 
     def test_zero_targets_solved_by_zero(self):
         s = build_scheme(10**3)
@@ -168,10 +168,10 @@ class TestColumnGeneration:
     def full_lp_measure(lp):
         """The lexicographic optimum of the full LP, by the plain two-stage
         simplex with every column in the tableau."""
-        full = simplex_solve(lp.c, dense(lp), lp.b, secondary=lp.secondary)
-        w = full.x[:lp.n_weights]
+        full = simplex_solve(lp.c, dense(lp), lp.b, secondary=lp.A.secondary)
+        w = full.x[:lp.A.n_weights]
         keep = w > _WEIGHT_EPS
-        return full, AtomicMeasure(np.concatenate(lp.grids)[keep], w[keep])
+        return full, AtomicMeasure(np.concatenate(lp.A.grids)[keep], w[keep])
 
     @pytest.mark.parametrize(
         "family,seed,trial",
@@ -197,7 +197,7 @@ class TestColumnGeneration:
         else:
             s = build_scheme(10**3)
             lp = build_lp(MomentTable(rng.normal(size=(s.M, 3))), s, 50)
-        sizes = np.array([g.size for g in lp.grids])
+        sizes = np.array([g.size for g in lp.A.grids])
         ends = np.cumsum(sizes)
         A = dense(lp)
 
@@ -213,7 +213,7 @@ class TestColumnGeneration:
             # first stage: the cost c
             assert lp.A.price(y).tolist() == dense_best(lp.c - y @ A)
             # second stage: secondary, with the dual y_opt of c.x <= opt
-            assert lp.A.price(np.append(y, y_opt)).tolist() == dense_best(lp.secondary - y_opt * lp.c - y @ A)
+            assert lp.A.price(np.append(y, y_opt)).tolist() == dense_best(lp.A.secondary - y_opt * lp.c - y @ A)
             # reduced costs of order 1e-6, so any error in a term of the
             # polynomial moves the argmin
             chosen.secondary = y @ A + y_opt * lp.c + 1e-6 * rng.normal(size=lp.c.size)
@@ -229,8 +229,8 @@ class TestColumnGeneration:
             values = rng.normal(size=(s.M, 3)) * rng.choice([0.0, 1.0], size=(s.M, 3))
             lps.append(build_lp(MomentTable(values), s, 7))
         probe = build_lp(zero_table(s, 2), s, 10)
-        x_star = float(probe.grids[1][7])
-        lps.append(build_lp(table_from_atom(s, 2, x_star, m=probe.m_included[1]), s, 10))
+        x_star = float(probe.A.grids[1][7])
+        lps.append(build_lp(table_from_atom(s, 2, x_star, m=probe.A.m_included[1]), s, 10))
         for lp in lps:
             res = solve_lp(lp)
             full, ref = self.full_lp_measure(lp)
@@ -257,10 +257,10 @@ class TestColumnGeneration:
         assert np.any(lp.b < 0)
         assert len(diag["rounds"]) == 2 and 1 + sum(diag["rounds"]) == len(phases)
         assert diag["status"] == res.solver_status == phases[-1][0] == "optimal"
-        assert lp.c.size - lp.n_weights + 2 * len(lp.grids) <= diag["columns"] < lp.c.size
+        assert lp.c.size - lp.A.n_weights + 2 * len(lp.A.grids) <= diag["columns"] < lp.c.size
         assert diag["atoms"] == res.measure.locations.size
         assert diag["implied_total_probability"] == pytest.approx(
-            lp.k * float(res.measure.locations @ res.measure.weights), rel=1e-12
+            lp.A.k * float(res.measure.locations @ res.measure.weights), rel=1e-12
         )
 
     @pytest.mark.parametrize("family", ["uniform", "two-level", "zipf:1"])
@@ -316,13 +316,13 @@ class TestColumnGeneration:
 def dense_fill(lp):
     """The constraint matrix filled densely, entry by entry as `build_lp`
     filled it before its columns were cut on demand."""
-    s, k, depth = lp.scheme, lp.k, lp.targets.depth
-    n_w = lp.n_weights
-    n_res = (depth + 1) * len(lp.m_included)
+    s, k, depth = lp.A.scheme, lp.A.k, lp.targets.depth
+    n_w = lp.A.n_weights
+    n_res = (depth + 1) * len(lp.A.m_included)
     A = np.zeros((2 * n_res + 2, n_w + n_res))
     pos = A[0:2 * n_res:2]
     start = 0
-    for mi, (m, xg) in enumerate(zip(lp.m_included, lp.grids)):
+    for mi, (m, xg) in enumerate(zip(lp.A.m_included, lp.A.grids)):
         i = m - 1
         tl = float(s.tilde_len[i])
         offset = xg - s.centers[i]
@@ -338,7 +338,7 @@ def dense_fill(lp):
     A[2 * res, slack] = -1.0
     A[2 * res + 1, slack] = -1.0
     A[2 * n_res, :n_w] = 1.0
-    A[2 * n_res + 1, :n_w] = np.concatenate(lp.grids)
+    A[2 * n_res + 1, :n_w] = np.concatenate(lp.A.grids)
     return A
 
 
@@ -364,17 +364,17 @@ class TestColumnCuts:
             # k = 2000 at n = 1e3 puts 4096 points, the cap, on two intervals
             s = build_scheme(10**3)
             lp = build_lp(MomentTable(np.random.default_rng(3).normal(size=(s.M, 3))), s, 2000)
-            assert [g.size for g in lp.grids] == [4096, 4096, 1784]
+            assert [g.size for g in lp.A.grids] == [4096, 4096, 1784]
         else:
             lp = estimator_lp(size, 101, 0)
         full = dense_fill(lp)
         assert lp.A.shape == full.shape
         rng = np.random.default_rng(17)
-        n_w, n = lp.n_weights, full.shape[1]
-        ends = np.cumsum([g.size for g in lp.grids])
+        n_w, n = lp.A.n_weights, full.shape[1]
+        ends = np.cumsum([g.size for g in lp.A.grids])
         # one column of every interval, some slacks, some of anything, in
         # random order; then every column, an empty cut and single columns
-        every_interval = [int(rng.integers(end - g.size, end)) for end, g in zip(ends, lp.grids)]
+        every_interval = [int(rng.integers(end - g.size, end)) for end, g in zip(ends, lp.A.grids)]
         mixed = np.concatenate([every_interval, rng.choice(np.arange(n_w, n), 3), rng.choice(n, 20)])
         cuts = [rng.permutation(mixed) for _ in range(5)]
         cuts += [np.arange(n), np.array([], dtype=np.int64), np.array([0]), np.array([n - 1])]
@@ -408,15 +408,16 @@ def lp_bytes(lp):
     """Every array of the LP, and its constant, as bytes."""
     return {
         "A": lp.A[:, np.arange(lp.A.shape[1])].tobytes(order="A"),
-        **{name: getattr(lp, name).tobytes() for name in ("b", "c", "secondary")},
+        **{name: getattr(lp, name).tobytes() for name in ("b", "c")},
+        "secondary": lp.A.secondary.tobytes(),
         "objective_const": lp.objective_const.hex(),
-        "grids": [g.tobytes() for g in lp.grids],
+        "grids": [g.tobytes() for g in lp.A.grids],
     }
 
 
-def cold_lp(monkeypatch, targets, scheme, k):
-    """`build_lp` with the memo emptied first."""
-    monkeypatch.setattr(lmm, "_last_columns", None)
+def cold_lp(targets, scheme, k):
+    """`build_lp` with the kept column source dropped first."""
+    lmm._grid_columns.cache_clear()
     return build_lp(targets, scheme, k)
 
 
@@ -426,7 +427,7 @@ class TestSkeletonMemo:
     nothing."""
 
     @pytest.mark.parametrize("size", ["uniform", "two-level", "zipf:1", "desk"])
-    def test_warm_build_equals_cold(self, monkeypatch, size):
+    def test_warm_build_equals_cold(self, size):
         if size == "desk":
             s, k = build_scheme(8, 1.0, "estimator"), 4
             depth = degree_for(s.n, 1.0)
@@ -441,15 +442,17 @@ class TestSkeletonMemo:
                 moment_table_estimate(sample_poissonized(p, s.n, substream(101, t)), s, depth, clamped=True)
                 for t in (1, 0)
             ]
-        first = cold_lp(monkeypatch, tables[0], s, k)
+        first = cold_lp(tables[0], s, k)
         warm = build_lp(tables[1], s, k)
-        assert warm.A is first.A and warm.c is first.c and warm.secondary is first.secondary
+        assert warm.A is first.A and warm.c is first.c
+        info = lmm._grid_columns.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert warm.b.tobytes() != first.b.tobytes()
-        cold = cold_lp(monkeypatch, tables[1], s, k)
+        cold = cold_lp(tables[1], s, k)
         assert cold.A is not warm.A
         assert lp_bytes(warm) == lp_bytes(cold)
 
-    def test_each_key_gets_its_own_skeleton(self, monkeypatch):
+    def test_each_key_gets_its_own_skeleton(self):
         s = build_scheme(10**3)
         tab = zero_table(s, 2)
         moved = dataclasses.replace(s, tilde_right=s.tilde_right * 0.99)
@@ -458,6 +461,7 @@ class TestSkeletonMemo:
         assert deeper.depth != degree_for(s.n, DEFAULT_C2) == 2
         cases = {
             "k": (tab, s, 6),
+            "k type": (tab, s, np.int64(5)),
             "depth": (deeper, s, 5),
             "new scheme": (tab, build_scheme(10**3), 5),
             "replaced scheme": (tab, moved, 5),
@@ -467,13 +471,13 @@ class TestSkeletonMemo:
             assert build_lp(tab, s, 5).A is ref.A
             lp = build_lp(*args)
             assert lp.A is not ref.A, name
-            assert lp_bytes(lp) == lp_bytes(cold_lp(monkeypatch, *args)), name
+            assert lp_bytes(lp) == lp_bytes(cold_lp(*args)), name
         lp = build_lp(*cases["replaced scheme"])
-        assert lp.grids[0][-1] == moved.tilde_right[0] < ref.grids[0][-1]
+        assert lp.A.grids[0][-1] == moved.tilde_right[0] < ref.A.grids[0][-1]
 
     def test_shared_arrays_are_read_only(self):
         lp = desk_lp()
-        for array in (lp.c, lp.secondary, lp.grids[0], lp.A.points):
+        for array in (lp.c, lp.A.secondary, lp.A.grids[0], lp.A.points):
             with pytest.raises(ValueError):
                 array[0] = 1.0
         lp.b[0] = 1.0  # each LP's own
@@ -486,37 +490,52 @@ class TestSkeletonMemo:
         build_lp(zero_table(s, 2), s, 6)
         gc.collect()
         assert held() is None
-        assert sum(isinstance(v, lmm.GridColumns) for v in vars(lmm).values()) == 1
+        info = lmm._grid_columns.cache_info()
+        assert info.maxsize == info.currsize == 1
+
+    def test_equal_valued_schemes_miss(self):
+        # a scheme is its own key: an equal-valued one built apart misses
+        a, b = build_scheme(10**3), build_scheme(10**3)
+        first = cold_lp(zero_table(a, 2), a, 5)
+        second = build_lp(zero_table(b, 2), b, 5)
+        assert second.A is not first.A and second.A.scheme is b
+        info = lmm._grid_columns.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
+        assert lp_bytes(second) == lp_bytes(first)
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_lp_reads_everything_but_b_from_its_columns(self, monkeypatch, warm):
+    def test_lp_reads_everything_but_b_from_its_columns(self, warm):
         s, k = build_scheme(8, 1.0, "estimator"), 4
         targets = moment_table_estimate(Histogram([5, 2, 1, 0]), s, degree_for(s.n, 1.0), clamped=True)
         if warm:
             build_lp(targets, s, k)
             lp = build_lp(targets, s, k)
         else:
-            lp = cold_lp(monkeypatch, targets, s, k)
-        assert lp.c is lp.A.c and lp.secondary is lp.A.secondary and lp.grids is lp.A.grids
-        assert lp.m_included is lp.A.m_included and lp.scheme is lp.A.scheme is s
-        assert lp.n_weights == lp.A.points.size and lp.k == lp.A.k == k
+            lp = cold_lp(targets, s, k)
+        assert lp.A is lmm._grid_columns(s, k, targets.depth) and lp.c is lp.A.c and lp.k is lp.A.k
+        assert lp.A.scheme is s and lp.A.k == k and lp.A.n_weights == lp.A.points.size
         assert [f.name for f in dataclasses.fields(lmm.LPInstance)] == ["A", "b", "objective_const", "targets"]
 
     @pytest.mark.parametrize("k", [0, -3, 2.5, 4.0], ids=["zero", "negative", "fraction", "integral-float"])
-    def test_rejects_k_that_is_not_a_positive_integer(self, monkeypatch, k):
+    def test_rejects_k_that_is_not_a_positive_integer(self, k):
         s = build_scheme(1000)
         tab = zero_table(s, 2)
-        for memo in (None, build_lp(tab, s, 4).A):
-            monkeypatch.setattr(lmm, "_last_columns", memo)
+        for warm in (False, True):
+            lmm._grid_columns.cache_clear()
+            kept = build_lp(tab, s, 4).A if warm else None
             with pytest.raises(DomainError):
                 build_lp(tab, s, k)
+            # a build that raises keeps nothing, and the kept source stays
+            assert lmm._grid_columns.cache_info().currsize == warm
+            if warm:
+                assert build_lp(tab, s, 4).A is kept
 
     def test_accepts_numpy_integers(self):
         s = build_scheme(1000)
         tab = zero_table(s, 2)
         for k in (np.int64(5), np.int32(5)):
             lp = build_lp(tab, s, k)
-            assert lp.k == 5 and lp_bytes(lp) == lp_bytes(build_lp(tab, s, 5))
+            assert lp.A.k == 5 and lp_bytes(lp) == lp_bytes(build_lp(tab, s, 5))
 
 
 class TestSingleAtomRecovery:
@@ -524,8 +543,8 @@ class TestSingleAtomRecovery:
         s = build_scheme(10**3)
         k, depth = 10, 2
         lp_probe = build_lp(zero_table(s, depth), s, k)
-        m_star = lp_probe.m_included[1]
-        x_star = float(lp_probe.grids[1][7])  # an exact grid location of m_star
+        m_star = lp_probe.A.m_included[1]
+        x_star = float(lp_probe.A.grids[1][7])  # an exact grid location of m_star
         tab = table_from_atom(s, depth, x_star, m=m_star, mass_scaled=1.0)
         res = solve_lp(build_lp(tab, s, k))
         assert res.objective_value <= 1e-8
@@ -601,12 +620,12 @@ class TestSurrogateLoss:
 def snap_to_grid(cand, lp):
     """Mean-preserving split of each atom onto its interval's grid."""
     out = []
-    for m_pos, m in enumerate(lp.m_included):
+    for m_pos, m in enumerate(lp.A.m_included):
         mu_m = cand[m - 1] if m - 1 < len(cand) else None
         if mu_m is None or mu_m.locations.size == 0:
             out.append(None)
             continue
-        g = lp.grids[m_pos]
+        g = lp.A.grids[m_pos]
         locs, wts = [], []
         for x, w in zip(mu_m.locations, mu_m.weights):
             x = min(max(x, g[0]), g[-1])
@@ -653,7 +672,7 @@ class TestEstimator:
             h = Histogram(rng.poisson(n * p.masses))
             tab = moment_table_estimate(h, s, degree_for(n))
             res = solve_lp(build_lp(tab, s, k))
-            mu = (res.measure + AtomicMeasure.dirac(0.0, max(0.0, 1 - res.measure.total_mass))).pruned(0.0)
+            mu = (res.measure + AtomicMeasure.dirac(0.0, max(0.0, 1 - res.measure.total_mass))).pruned()
             lhs = k * w1(mu, measure_of(p))
             loss_ref = surrogate_loss(reference_decomposition(p, s), tab, s, k)
             rhs = 2 * c_prime * (math.sqrt(k / (n * math.log(n))) + n ** (9 * 0.25 / 2) * loss_ref) + k / n**4

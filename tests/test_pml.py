@@ -220,8 +220,8 @@ class TestMinProbRound:
             if counts.sum() == 0:
                 continue
             phi = profile_of_histogram(Histogram(counts))
-            A = 2.0
-            out = min_prob_round(p, phi, A)
+            A = pml_module.ROUNDING_A
+            out = min_prob_round(p, phi)
             floor = 1.0 / (2.0 * n**A)
             pos = out.masses[out.masses > 0]
             assert pos.min() >= floor - 1e-15

@@ -170,7 +170,7 @@ def test_estimator_lp_secondary_matches_highs_lexicographic():
     targets = moment_table_estimate(h, scheme, depth, clamped=True)
     lp = build_lp(targets, scheme, k)
     A = dense(lp)
-    secondary = lp.secondary
+    secondary = lp.A.secondary
     plain = simplex_solve(lp.c, A, lp.b)
     res = simplex_solve(lp.c, A, lp.b, secondary=secondary)
     assert res.status == "optimal"
@@ -312,7 +312,7 @@ class TestColumnsOnly:
         lp = build_lp(moment_table_estimate(h, scheme, degree_for(n, DEFAULT_C2), clamped=True), scheme, k)
         A = dense(lp)
         runs = [
-            simplex_solve(lp.c, a, lp.b, secondary=lp.secondary, start=lp.A.start, price=lp.A.price)
+            simplex_solve(lp.c, a, lp.b, secondary=lp.A.secondary, start=lp.A.start, price=lp.A.price)
             for a in (ColumnsOnly(A), A, lp.A)
         ]
         assert runs[0].status == "optimal"

@@ -55,6 +55,15 @@ def exponent(direct: float, delta: float) -> float | None:
     return None
 
 
+def drop_desk(harness) -> None:
+    """Drop the kept desk table: `_desk_table`'s cache, or on older trees
+    the `_last_desk` global (harmless on a tree that keeps none)."""
+    if hasattr(harness, "_desk_table"):
+        harness._desk_table.cache_clear()
+    else:
+        harness._last_desk = None
+
+
 def check(harness, n: int, family: str, eps: float) -> dict:
     return harness.run_competitive_check(harness.ExperimentConfig(n=n, k=K, dist=family, eps=eps, c2=C2))
 
@@ -63,7 +72,7 @@ def warm_passes(harness) -> float:
     """Seconds of the 81 checks, each n's table built by an untimed check first."""
     spent = 0.0
     for n in NS:
-        harness._last_desk = None
+        drop_desk(harness)
         check(harness, n, FAMILIES[0], EPS[0])
         for family in FAMILIES:
             for eps in EPS:
@@ -104,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     from sortdist import harness
 
     if args.out:
-        harness._last_desk = None
+        drop_desk(harness)
         rows = sweep(harness)
         header = {"k": K, "c2": C2, "c1": harness.COMPETITIVE_C1, "ns": list(NS),
                   "families": list(FAMILIES), "eps": list(EPS)}
@@ -123,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             harness.DeskTable = CountingDeskTable
         times, table_builds = [], []
         for _ in range(args.repeats):
-            harness._last_desk = None
+            drop_desk(harness)
             builds = 0 if counting else None
             start = time.perf_counter()
             rows = sweep(harness)
