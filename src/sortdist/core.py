@@ -25,6 +25,8 @@ __all__ = [
     "histogram_of_samples",
     "profile_of_histogram",
     "enumerate_profiles",
+    "count_profiles",
+    "desk_profiles",
     "profile_probability",
     "profile_probability_many",
     "sorted_l1",
@@ -39,7 +41,12 @@ _MASS_TOL = 1e-12
 _MERGE_TOL = 1e-14
 
 PROFILE_ENUM_CAP = 20
-EXACT_SCALE_N = 12
+# the double range: a profile's coefficient n!/prod_i (i!)^phi_i is at most
+# n!, and 171! overflows a double
+EXACT_SCALE_N = 170
+# profiles in a desk: its R holds count^2 doubles, 9.7 MB at 1,100, which
+# admits n = 49 at k = 4 (1,089 profiles) and n = 34 at k = 5 (1,014)
+DESK_PROFILE_CAP = 1100
 # doubles per DP state (256 KB): `profile_probability_many` blocks its rows to fit
 _DP_DOUBLES = 1 << 15
 
@@ -274,11 +281,44 @@ def enumerate_profiles(n: int) -> list[Profile]:
     return [Profile(np.bincount(parts, minlength=n + 1)[1:]) for parts in _partitions(n, n, n)]
 
 
+def count_profiles(n: int, k: int) -> int:
+    """p_k(n), the partitions of n into at most k parts: by conjugation,
+    those into parts of at most k, counted one part size at a time."""
+    ways = [1] + [0] * n
+    for part in range(1, min(k, n) + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
+def check_desk_size(what: str, n: int, k: int) -> None:
+    """Reject a desk of the profiles of n with at most k parts by its sizes
+    alone: n past EXACT_SCALE_N, or more than DESK_PROFILE_CAP profiles.
+    `what` opens the message."""
+    if n > EXACT_SCALE_N:
+        raise ResourceLimitError(f"{what} capped at n <= {EXACT_SCALE_N}")
+    count = count_profiles(n, k)
+    if count > DESK_PROFILE_CAP:
+        raise ResourceLimitError(
+            f"{what} capped at {DESK_PROFILE_CAP} profiles; n = {n} has {count} with at most k = {k} parts"
+        )
+
+
+def desk_profiles(n: int, k: int) -> list[Profile]:
+    """The profiles of sample size n with at most k parts, the only ones a
+    p on k symbols gives a positive probability, in `enumerate_profiles`
+    order; capped by `check_desk_size`."""
+    if n < 1 or k < 1:
+        raise DomainError("n and k must be positive")
+    check_desk_size("desk enumeration", n, k)
+    return [Profile(np.bincount(parts, minlength=n + 1)[1:]) for parts in _partitions(n, n, k)]
+
+
 class ProfileBatch:
     """The profile side of `profile_probability_many` for a list of
     profiles on k symbols, built once and kept by callers that score the
-    same profiles many times, every array read-only; profiles are capped
-    at n <= EXACT_SCALE_N.
+    same profiles many times, every array read-only; capped at
+    DESK_PROFILE_CAP profiles of n <= EXACT_SCALE_N.
 
     A profile with more parts than k gives exactly 0.0 and takes no part
     in the DP.  Each other profile, in `live`, holds its distinct parts
@@ -293,6 +333,8 @@ class ProfileBatch:
     def __init__(self, profiles, k: int):
         self.profiles = tuple(profiles)
         self.k = k
+        if len(self.profiles) > DESK_PROFILE_CAP:
+            raise ResourceLimitError(f"exact profile probability capped at {DESK_PROFILE_CAP} profiles")
         if any(phi.n > EXACT_SCALE_N for phi in self.profiles):
             raise ResourceLimitError(f"exact profile probability capped at n <= {EXACT_SCALE_N}")
         live, values, mults = [], [], []

@@ -15,11 +15,11 @@ import numpy as np
 # the benchmark's trace, which hooks that name, sees each call
 from . import core
 from .core import (
-    EXACT_SCALE_N,
     DiscreteDistribution,
     Histogram,
     ProfileBatch,
-    enumerate_profiles,
+    check_desk_size,
+    desk_profiles,
     measure_of,
     sorted_l1,
     sorted_l1_vectors,
@@ -55,8 +55,9 @@ __all__ = [
 
 BENCH_N_CAP = 10**6
 BENCH_TRIALS_CAP = 10**3
-# interval constant of the estimator scheme in the competitive check; n <= 12
-# there, so ExperimentConfig's c1 (sized for n in the thousands) is not used
+# interval constant of the estimator scheme in the competitive check; n is at
+# most 49 there at k >= 4, so ExperimentConfig's c1 (sized for n in the
+# thousands) is not used
 COMPETITIVE_C1 = 1.0
 # relative tolerance above 2 eps + eps_prime before a PML counts as a direct
 # failure: PMLs that sit exactly on the bound (for instance sorted l1 1.2 at
@@ -218,14 +219,16 @@ def trials_to_csv(records: list[TrialRecord]) -> str:
 
 class DeskTable:
     """The part of the competitive check at (n, k, c2) that depends on
-    neither p nor eps, every array read-only: the profiles of n in
-    enumeration order, their `ProfileBatch` on k symbols and their sparse
-    JSON, each profile's PML masses (as float tuples, and as the rows of
-    `sorted_pml` in ascending order) and likelihood, its minimum-mass
-    rounding (the rows of `rounded`) and eps' (the largest sorted l1
-    between a PML and its rounding), the estimator's measure of each
-    profile, packed as the `MeasureBatch` `measures` that a pass scores
-    against p with one `w1_many` call, and R[g, phi] = P(rounded PML(phi), g).
+    neither p nor eps, every array read-only: every profile of n with at
+    most k parts (`core.desk_profiles`, the only ones a p on k symbols can
+    produce) in enumeration order, their `ProfileBatch` on k symbols and
+    their sparse JSON, each profile's PML masses (as float tuples, and as
+    the rows of `sorted_pml` in ascending order) and likelihood, its
+    minimum-mass rounding (the rows of `rounded`) and eps' (the largest
+    sorted l1 between a PML and its rounding), the estimator's measure of
+    each profile, packed as the `MeasureBatch` `measures` that a pass
+    scores against p with one `w1_many` call, and
+    R[g, phi] = P(rounded PML(phi), g), count^2 doubles for count profiles.
 
     R is one `core.profile_probability_many` call of the batch over every
     rounded row.  The DP keeps rows and profiles apart, so each entry has
@@ -237,7 +240,7 @@ class DeskTable:
     def __init__(self, n: int, k: int, c2: float):
         scheme = build_scheme(n, COMPETITIVE_C1, "estimator")
         self.n, self.k, self.c2 = n, k, c2
-        self.profiles = tuple(enumerate_profiles(n))
+        self.profiles = tuple(desk_profiles(n, k))
         self.batch = ProfileBatch(self.profiles, k)
         self.profile_json = tuple(phi.to_sparse_json() for phi in self.profiles)
         measures, pml_masses, likelihoods, rounded = [], [], [], []
@@ -278,7 +281,8 @@ def _desk_table(n: int, k: int, c2: float) -> DeskTable:
 def run_competitive_check(config: ExperimentConfig) -> dict:
     """Exact failure accounting of the profile-likelihood plug-in at tiny n.
 
-    Enumerates every profile, computes its grid-certified likelihood
+    Enumerates every profile with at most k parts (every other one has
+    probability 0 under p), computes its grid-certified likelihood
     maximizer and the minimum-mass rounding, builds the good set of the
     moment-matching estimator, and reports the exact plug-in failure
     probability next to the classical and chained reference curves (the
@@ -287,15 +291,16 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     All of that but the probabilities under p, the good set and the sums
     over it depends on (n, k, c2) alone and is a `DeskTable`, built once
     and kept by `_desk_table` until a check at another (n, k, c2): a sweep
-    over families and eps at one (n, k, c2) builds one table.  The caps and
+    over families and eps at one (n, k, c2) builds one table.  The caps (the
+    table's profile count, `core.check_desk_size`, and k <= PML_K_CAP) and
     the family are checked on every call.  A pass over a kept table makes
-    one `core.profile_probability_many` call, for every profile under p,
+    one `core.profile_probability_many` call, for every profile of the
+    table under p,
     and finds the good set with one `w1_many` call, from the table's
     `MeasureBatch` of estimator measures to p's measure.
     """
     n, k, c2 = config.n, config.k, config.c2
-    if n > EXACT_SCALE_N:
-        raise ResourceLimitError(f"competitive check capped at n <= {EXACT_SCALE_N}")
+    check_desk_size("competitive check", n, k)
     if k > PML_K_CAP:
         raise ResourceLimitError(f"competitive check capped at k <= {PML_K_CAP}")
     p = make_distribution(config.dist, k)

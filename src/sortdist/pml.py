@@ -27,7 +27,8 @@ from .core import (
     Profile,
     ProfileBatch,
     _partitions,
-    enumerate_profiles,
+    check_desk_size,
+    desk_profiles,
     profile_probability,
     profile_probability_many,
     sorted_l1,
@@ -233,7 +234,9 @@ def _sorted_grid_rows(resolution: int, k_max: int) -> np.ndarray:
 
 def check_brute_force_caps(n: int, k_max: int, grid_resolution: int) -> None:
     """Reject a `brute_force_pml` call by its sizes alone, so that a caller
-    holding only the n of a profile can check it before building the profile."""
+    holding only the n of a profile can check it before building the profile:
+    past the search's own caps, or where the desk of n's profiles with at
+    most k_max parts is past `check_desk_size`."""
     if k_max < 1 or grid_resolution < 1:
         raise DomainError("k_max and grid_resolution must be at least 1")
     if n > EXACT_SCALE_N or k_max > PML_K_CAP or grid_resolution > PML_RESOLUTION_CAP:
@@ -241,6 +244,7 @@ def check_brute_force_caps(n: int, k_max: int, grid_resolution: int) -> None:
             f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}, "
             f"grid_resolution <= {PML_RESOLUTION_CAP}"
         )
+    check_desk_size("brute-force search", n, k_max)
 
 
 def brute_force_pml(
@@ -308,12 +312,11 @@ def good_set(
 ) -> tuple[list[Profile], float]:
     """Profiles of size n on which the estimator lands within eps of p.
 
-    Exact enumeration; also returns the total profile probability of the set
-    under p.
+    Exact enumeration of every profile with at most p.k parts (`desk_profiles`;
+    the others have probability 0 under p); also returns the total profile
+    probability of the set under p.
     """
-    if n > EXACT_SCALE_N:
-        raise ResourceLimitError(f"good-set enumeration capped at n <= {EXACT_SCALE_N}")
-    good = [phi for phi in enumerate_profiles(n) if loss(estimator(phi), p) <= eps]
+    good = [phi for phi in desk_profiles(n, p.k) if loss(estimator(phi), p) <= eps]
     return good, _set_mass(p, good)
 
 
@@ -346,7 +349,7 @@ def check_goodset_lemma(
     if mass_q_good <= delta:
         return True
     n = good[0].n if good else 1
-    bad_mass_q = _set_mass(q, [phi for phi in enumerate_profiles(n) if loss(estimator(phi), q) > eps])
+    bad_mass_q = _set_mass(q, [phi for phi in desk_profiles(n, q.k) if loss(estimator(phi), q) > eps])
     if bad_mass_q > delta:
         return True  # estimator assumption fails at q; implication is vacuous
     return sorted_l1(q, p) <= 2.0 * eps + 1e-12
@@ -424,8 +427,10 @@ def covering_constants(
     prefix of the profiles sorted by q_phi / p_phi, in ascending or in
     descending order, hence 2 * count prefix sums per inequality; the
     longest, the whole set, has P = Q = 1 and needs exactly 0.
-    Profiles with p_phi = q_phi = 0 (the grid keeps p's zeros) add nothing
-    and are dropped.  Needs c0 n^-s in [0, 1), so that a >= 1.
+    Only the profiles with at most k parts can have p_phi or q_phi > 0, so
+    only they are enumerated (`desk_profiles`); those with p_phi = q_phi = 0
+    (the grid keeps p's zeros) add nothing and are dropped too.  Needs
+    c0 n^-s in [0, 1), so that a >= 1.
     """
     n = grid.n
     shrink = c0 * n**-s
@@ -433,7 +438,7 @@ def covering_constants(
         raise DomainError(f"c0 n^-s must lie in [0, 1), got {shrink!r}")
     q_raw = quantize_to_grid(p, grid)
     q = DiscreteDistribution(q_raw / q_raw.sum())
-    batch = ProfileBatch(enumerate_profiles(n), p.k)
+    batch = ProfileBatch(desk_profiles(n, p.k), p.k)
     probs = profile_probability_many(np.stack([p.masses, q.masses]), batch)
     probs = probs[probs.any(axis=1)]
     probs = probs[np.argsort(probs[:, 1] / probs[:, 0])]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import subprocess
@@ -11,6 +12,8 @@ from scipy.special import gammaln
 
 import sortdist
 from sortdist.core import (
+    DESK_PROFILE_CAP,
+    EXACT_SCALE_N,
     AtomicMeasure,
     DiscreteDistribution,
     Histogram,
@@ -18,6 +21,8 @@ from sortdist.core import (
     ProfileBatch,
     _partitions,
     binomial_pmf,
+    count_profiles,
+    desk_profiles,
     enumerate_profiles,
     histogram_of_samples,
     measure_of,
@@ -153,6 +158,71 @@ class TestEnumerateProfiles:
                 for max_parts in range(0, n + 2):
                     want = [p for p in unbounded if len(p) <= max_parts]
                     assert list(_partitions(n, max_part, max_parts)) == want
+
+
+@functools.cache
+def _bounded_partition_count(n, k):
+    # p_k(n) = p_(k-1)(n) + p_k(n - k): a partition of n into at most k
+    # parts has fewer than k, or k parts that each lose 1
+    if n == 0:
+        return 1
+    if n < 0 or k == 0:
+        return 0
+    return _bounded_partition_count(n, k - 1) + _bounded_partition_count(n - k, k)
+
+
+class TestDeskProfiles:
+    @pytest.mark.parametrize("n,k,count", [(8, 4, 15), (12, 4, 34), (32, 4, 351), (32, 5, 831), (48, 4, 1033)])
+    def test_counts_match_the_recurrence(self, n, k, count):
+        assert _bounded_partition_count(n, k) == count
+        assert count_profiles(n, k) == count
+        profiles = desk_profiles(n, k)
+        assert len(profiles) == count
+        assert all(phi.n == n and phi.distinct_symbols <= k for phi in profiles)
+        assert len({tuple(phi.phi.tolist()) for phi in profiles}) == count
+
+    def test_counts_over_a_grid(self):
+        for n in range(1, 41):
+            for k in range(1, 8):
+                assert count_profiles(n, k) == _bounded_partition_count(n, k)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_the_enumeration_filtered_in_its_order(self, n):
+        # the desk's sums over profiles add in enumerate_profiles order
+        for k in range(1, n + 1):
+            want = [phi.parts() for phi in enumerate_profiles(n) if phi.distinct_symbols <= k]
+            assert [phi.parts() for phi in desk_profiles(n, k)] == want
+
+    def test_profiles_left_out_have_probability_exactly_zero(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 13):
+            for k in range(1, min(n, 6)):
+                rows = rng.dirichlet(np.ones(k), size=8)
+                kept = {phi.parts() for phi in desk_profiles(n, k)}
+                left = [phi for phi in enumerate_profiles(n) if phi.parts() not in kept]
+                assert left and all(phi.distinct_symbols > k for phi in left)
+                for phi in left:
+                    assert np.all(dense_profile_probability_many(rows, phi) == 0.0)
+                assert np.all(profile_probability_many(rows, ProfileBatch(left, k)) == 0.0)
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_the_desk_holds_all_the_mass(self, n):
+        rng = np.random.default_rng(n)
+        for k in (3, 4):
+            rows = np.vstack([np.full(k, 1.0 / k), rng.dirichlet(np.ones(k), size=4)])
+            totals = profile_probability_many(rows, ProfileBatch(desk_profiles(n, k), k)).sum(axis=0)
+            assert np.all(np.abs(totals - 1.0) <= 1e-13)
+
+    def test_caps(self):
+        assert len(desk_profiles(EXACT_SCALE_N, 1)) == 1
+        with pytest.raises(ResourceLimitError, match=f"n <= {EXACT_SCALE_N}"):
+            desk_profiles(EXACT_SCALE_N + 1, 1)
+        assert count_profiles(49, 4) <= DESK_PROFILE_CAP < count_profiles(50, 4)
+        with pytest.raises(ResourceLimitError, match="1154 with at most k = 4 parts"):
+            desk_profiles(50, 4)
+        for n, k in ((0, 2), (4, 0)):
+            with pytest.raises(DomainError):
+                desk_profiles(n, k)
 
 
 def _monomial_symmetric_by_placements(p_rows, parts):
@@ -354,10 +424,18 @@ class TestProfileProbability:
             profile_probability_many(np.full((2, 4), 0.25), ProfileBatch(enumerate_profiles(4), 3))
 
     def test_scale_cap(self):
+        # n! leaves the double range past EXACT_SCALE_N; a batch holds at
+        # most DESK_PROFILE_CAP profiles
+        past = Profile.from_sparse(EXACT_SCALE_N + 1, {EXACT_SCALE_N + 1: 1})
         with pytest.raises(ResourceLimitError):
-            profile_probability(dist(0.5, 0.5), enumerate_profiles(13)[0])
+            profile_probability(dist(0.5, 0.5), past)
         with pytest.raises(ResourceLimitError):
-            ProfileBatch(enumerate_profiles(13)[:1], 2)
+            ProfileBatch([past], 2)
+        assert profile_probability(dist(0.5, 0.5), Profile.from_sparse(EXACT_SCALE_N, {EXACT_SCALE_N: 1})) > 0.0
+        profiles = desk_profiles(49, 4)
+        with pytest.raises(ResourceLimitError, match=f"{DESK_PROFILE_CAP} profiles"):
+            ProfileBatch(profiles + profiles[:DESK_PROFILE_CAP + 1 - len(profiles)], 4)
+        assert len(ProfileBatch(profiles + profiles[:DESK_PROFILE_CAP - len(profiles)], 4)) == DESK_PROFILE_CAP
 
     def test_large_support(self):
         # k is not capped

@@ -296,8 +296,12 @@ class TestCompetitive:
             assert rep["direct_failure_probability"] <= rep["indicator_bound_term"] + 1e-12
 
     def test_scale_cap(self):
-        with pytest.raises(ResourceLimitError):
-            run_competitive_check(ExperimentConfig(n=13, k=3))
+        # 1,154 profiles of 50 with at most 4 parts, past DESK_PROFILE_CAP;
+        # one profile of 171 at k = 1, past the double range of 171!
+        with pytest.raises(ResourceLimitError, match="1154 with at most k = 4 parts"):
+            run_competitive_check(ExperimentConfig(n=50, k=4))
+        with pytest.raises(ResourceLimitError, match=f"n <= {EXACT_SCALE_N}"):
+            run_competitive_check(ExperimentConfig(n=EXACT_SCALE_N + 1, k=1))
 
     def test_report_echoes_the_scheme_c1(self, monkeypatch):
         seen = []
@@ -359,17 +363,28 @@ class TestCompetitive:
         assert rep["indicator_bound_term"] == rep["delta_empirical"] == 1.0
 
     def test_runs_at_the_scale_cap(self):
-        # R's DP takes the 77 rounded rows in blocks, so the cold build
-        # peaks near 1.3 MB; as one block its states alone took 5 MB
+        # R's DP takes the 34 rounded rows in blocks, so the cold build
+        # stays under 1.5 MB; over all 77 profiles of 12 as one block its
+        # states alone took 5 MB
         tracemalloc.start()
         try:
             rep = run_competitive_check(ExperimentConfig(n=12, k=4, dist="uniform", eps=0.6, c2=1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rep["pml"]) == 77  # the partitions of 12
+        assert len(rep["pml"]) == 34  # the partitions of 12 into at most 4 parts
         assert rep["direct_failure_probability"] <= rep["indicator_bound_term"] + 1e-12
         assert peak < 1.5e6
+
+    @pytest.mark.parametrize("dist", ["uniform", "zipf:1"])
+    def test_a_cold_check_past_twelve(self, dist):
+        # the 169 profiles of 24 with at most 4 parts, about 1 s cold on 2
+        # shared cores; the 1,406 others have probability 0 under p
+        rep = run_competitive_check(ExperimentConfig(n=24, k=4, dist=dist, eps=0.6, c2=1.0))
+        assert len(rep["pml"]) == 169
+        assert abs(sum(row["probability"] for row in rep["pml"]) - 1.0) <= 1e-13
+        assert rep["direct_failure_probability"] <= rep["indicator_bound_term"] + 1e-12
+        assert harness._desk_table(24, 4, 1.0).R.shape == (169, 169)
 
 
 def competitive_json(cfg: ExperimentConfig) -> str:
@@ -454,11 +469,12 @@ class TestDeskTableMemo:
         run_competitive_check(configs[0])
         # R and the pass take the whole batch; every other call is one
         # profile's PML search
-        assert [c for c in calls if c[1] != 1] == [((22, 4), 22), ((1, 4), 22)]
+        # over the 15 profiles of 8 with at most 4 parts
+        assert [c for c in calls if c[1] != 1] == [((15, 4), 15), ((1, 4), 15)]
         for cfg, text in zip(configs, want):
             calls.clear()
             assert competitive_json(cfg) == text
-            assert calls == [((1, 4), 22)]
+            assert calls == [((1, 4), 15)]
 
     def test_a_warm_pass_calls_no_single_w1(self, monkeypatch):
         # the good set is one w1_many call; harness.w1 is left to the
@@ -489,7 +505,7 @@ class TestDeskTableMemo:
         [
             (ExperimentConfig(n=6, k=4, dist="cauchy", eps=0.6, c2=1.0), DomainError),
             (ExperimentConfig(n=6, k=6, eps=0.6, c2=1.0), ResourceLimitError),
-            (ExperimentConfig(n=13, k=4, eps=0.6, c2=1.0), ResourceLimitError),
+            (ExperimentConfig(n=50, k=4, eps=0.6, c2=1.0), ResourceLimitError),
             (ExperimentConfig(n=6, k=0, eps=0.6, c2=1.0), DomainError),
             (ExperimentConfig(n=3, k=4, eps=0.6, c2=1.0), DomainError),
         ],

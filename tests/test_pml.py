@@ -9,6 +9,9 @@ from sortdist.core import (
     AtomicMeasure,
     DiscreteDistribution,
     Histogram,
+    EXACT_SCALE_N,
+    Profile,
+    desk_profiles,
     enumerate_profiles,
     ProfileBatch,
     measure_of,
@@ -262,8 +265,12 @@ class TestBruteForcePML:
     def test_scale_cap(self):
         with pytest.raises(ResourceLimitError):
             brute_force_pml(enumerate_profiles(5)[0], k_max=7)
-        with pytest.raises(ResourceLimitError):
-            brute_force_pml(enumerate_profiles(13)[0], k_max=3)
+        # past the n of the double range, and past the desk cap: 1,115
+        # profiles of 35 with at most 5 parts
+        with pytest.raises(ResourceLimitError, match=f"n <= {EXACT_SCALE_N}"):
+            brute_force_pml(Profile.from_sparse(EXACT_SCALE_N + 1, {EXACT_SCALE_N + 1: 1}), k_max=1)
+        with pytest.raises(ResourceLimitError, match="1115 with at most k = 5 parts"):
+            brute_force_pml(Profile.from_sparse(35, {35: 1}), k_max=5)
         with pytest.raises(ResourceLimitError, match="grid_resolution"):
             brute_force_pml(enumerate_profiles(5)[0], grid_resolution=pml_module.PML_RESOLUTION_CAP + 1)
 
@@ -440,7 +447,8 @@ class TestGoodSet:
         p = random_m0(rng, 3, 6)
         est = empirical_estimator_factory(3)
         good, mass = good_set(est, p, 10.0, self.loss, 6)
-        assert len(good) == len(enumerate_profiles(6))
+        # every profile of 6 with at most 3 parts: the 4 others have mass 0
+        assert len(good) == len(desk_profiles(6, 3)) == 7
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_point_mass_truth(self):
@@ -476,7 +484,10 @@ class TestGoodSet:
     def test_scale_cap(self):
         p = DiscreteDistribution([0.5, 0.5])
         with pytest.raises(ResourceLimitError):
-            good_set(empirical_estimator_factory(2), p, 1.0, self.loss, 13)
+            good_set(empirical_estimator_factory(2), p, 1.0, self.loss, EXACT_SCALE_N + 1)
+        p = DiscreteDistribution([0.25] * 4)
+        with pytest.raises(ResourceLimitError, match="1154 with at most k = 4 parts"):
+            good_set(empirical_estimator_factory(4), p, 1.0, self.loss, 50)
 
     def test_q_equals_p_nonvacuous(self):
         rng = np.random.default_rng(8)
