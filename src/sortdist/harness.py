@@ -309,10 +309,16 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     mu_p = measure_of(p)
     eps = config.eps
     probs = core.profile_probability_many(p.masses[None, :], table.batch)[:, 0].tolist()
-    # in profile order, so the sums over the good set add in that order
-    good_idx = np.flatnonzero(k * w1_many(table.measures, mu_p) <= eps).tolist()
+    good = (k * w1_many(table.measures, mu_p) <= eps).tolist()
+    # in profile order, so the sums over the good set and over its
+    # complement add in that order
+    good_idx = [i for i, ok in enumerate(good) if ok]
     good_mass = sum(probs[i] for i in good_idx)
-    delta_emp = 1.0 - good_mass
+    # the failing mass, summed directly while it is the smaller side, so it
+    # reads exactly 0.0 when nothing fails and keeps its relative precision
+    # when small; past that 1 - good_mass, exactly 1.0 when nothing is good
+    fail_mass = sum((prob for prob, ok in zip(probs, good) if not ok), 0.0)
+    delta_emp = fail_mass if fail_mass <= good_mass else 1.0 - good_mass
 
     # the good mass of each good profile's rounded PML: a column of R's
     # good x good block, summed in g order

@@ -357,6 +357,30 @@ class TestCompetitive:
                 want += row["probability"]
         assert rep["direct_failure_probability"] == want > 0.0
 
+    @pytest.mark.parametrize("n,k", [(4, 3), (8, 4), (12, 4)])
+    def test_delta_empirical_is_the_failing_mass(self, n, k):
+        # 1 - good_mass read down to -2e-15 where nothing fails; the failing
+        # mass summed in profile order reads exactly 0.0 there
+        estimate = competitive_estimator(n, k)
+        nothing_fails = 0
+        for dist in ("uniform", "two-level", "zipf:1", "zipf:2"):
+            p = make_distribution(dist, k)
+            for eps in (0.3, 0.6, 1.0):
+                rep = run_competitive_check(ExperimentConfig(n=n, k=k, dist=dist, eps=eps, c2=1.0))
+                good, _ = pml_module.good_set(estimate, p, eps, k_w1_loss, n)
+                good = {phi.to_sparse_json() for phi in good}
+                failing = [row["probability"] for row in rep["pml"] if row["profile"] not in good]
+                delta = rep["delta_empirical"]
+                assert delta >= 0.0
+                if not failing:
+                    nothing_fails += 1
+                    assert delta == 0.0
+                if sum(failing, 0.0) <= rep["good_set_mass"]:
+                    assert delta == sum(failing, 0.0)
+                else:
+                    assert delta == 1.0 - rep["good_set_mass"]
+        assert nothing_fails > 0
+
     def test_empty_good_set(self):
         rep = run_competitive_check(ExperimentConfig(n=5, k=3, dist="uniform", eps=1e-9, c2=1.0))
         assert rep["good_set_size"] == 0
