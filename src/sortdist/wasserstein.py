@@ -110,21 +110,20 @@ class MeasureBatch:
 
 
 def w1_many(batch: MeasureBatch, nu: AtomicMeasure) -> np.ndarray:
-    """`w1(mu, nu)` for each measure mu of the batch, as one array op.
+    """`w1(mu, nu)` for each measure mu of the batch, in a few array ops.
 
     Each row's breakpoints are its padded locations and nu's, sorted
-    together, so +inf sits behind and a location that both hold appears
-    twice, with a gap of 0 between the copies.  Its own CDF there is an
-    exact count of its locations <= each breakpoint, nu's a searchsorted,
-    and the gaps after the last finite breakpoint are 0.  Each row's sum
-    of |dF| * gap is one matmul of a (1, t) by a (t, 1) block, which numpy
-    hands to the BLAS dot that `w1`'s `@` calls: the same terms in the
-    same order, with terms of gap 0 among and behind them.  Where that dot
-    adds its terms in order, as OpenBLAS does for fewer than 16, a zero
-    term changes no bit, so each distance keeps `w1`'s bytes.  Here
-    t = (widest row) + (nu's atoms) - 1, at most 11 within the desk's caps
-    (n <= 12, k <= 5).  einsum or a sum over axis 1 round apart in the
-    last bit.
+    together.  Its own CDF there is an exact count of its locations <= each
+    breakpoint, nu's a searchsorted.  A term |dF| * gap is kept where the
+    gap is positive and finite: a location that both hold appears twice,
+    with a gap of 0 between the copies, and +inf pads the row.  The kept
+    terms are `w1`'s, in its order.  Rows with equally many terms t form a
+    block, sliced to t, and a block's sums are one matmul of (1, t) by
+    (t, 1) blocks, which numpy hands to the BLAS dot that `w1`'s `@` calls
+    on the same t terms.  So each distance keeps `w1`'s bytes however the
+    dot adds its terms: OpenBLAS adds 16 or more in unrolled lanes, where a
+    zero term among them, or a row padded to another's length, rounds
+    apart.  einsum or a sum over axis 1 round apart in the last bit.
     """
     bad = np.flatnonzero(np.abs(batch.total_mass - nu.total_mass) > _MASS_TOL)
     if bad.size:
@@ -132,8 +131,9 @@ def w1_many(batch: MeasureBatch, nu: AtomicMeasure) -> np.ndarray:
             f"total masses differ: {float(batch.total_mass[bad[0]])!r} vs {nu.total_mass!r}"
         )
     rows = len(batch)
+    out = np.zeros(rows)
     if nu.locations.size == 0 or batch.locations.shape[1] == 0:
-        return np.zeros(rows)
+        return out
     own = batch.locations
     theirs = np.broadcast_to(nu.locations, (rows, nu.locations.size))
     bp = np.sort(np.concatenate([own, theirs], axis=1), axis=1)
@@ -141,11 +141,25 @@ def w1_many(batch: MeasureBatch, nu: AtomicMeasure) -> np.ndarray:
     f_mu = np.take_along_axis(batch.cdfs, counts, axis=1)
     cum_nu = np.concatenate([[0.0], np.cumsum(nu.weights)])
     f_nu = cum_nu[np.searchsorted(nu.locations, bp, side="right")]
-    # each +inf read as the row's last breakpoint, so the gaps after it are 0
-    last = bp[np.arange(rows), (bp < np.inf).sum(axis=1) - 1]
-    gaps = np.diff(np.minimum(bp, last[:, None]), axis=1)
-    d = np.abs(f_mu - f_nu)[:, :-1]
-    out = np.matmul(d[:, None, :], gaps[:, :, None])[:, 0, 0]
+    # the terms w1 sums: between consecutive breakpoints that differ, short
+    # of the +inf padding
+    hi, lo = bp[:, 1:], bp[:, :-1]
+    keep = (hi > lo) & (hi < np.inf)
+    terms = keep.sum(axis=1)
+    # rows in ascending term count, so each block's terms are one slice of
+    # the kept terms laid end to end
+    order = np.argsort(terms, kind="stable")
+    keep = keep[order]
+    d = np.abs(f_mu - f_nu)[order, :-1][keep]
+    g = hi[order][keep] - lo[order][keep]
+    sums = np.empty(rows)
+    first = at = 0
+    for t, c in enumerate(np.bincount(terms).tolist()):
+        if c:
+            d_t = d[at : at + c * t].reshape(c, 1, t)
+            sums[first : first + c] = np.matmul(d_t, g[at : at + c * t].reshape(c, t, 1))[:, 0, 0]
+            first, at = first + c, at + c * t
+    out[order] = sums
     # a row with no atoms reads 0, as in w1
     out[own[:, 0] == np.inf] = 0.0
     return out

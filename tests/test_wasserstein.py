@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sortdist.core import AtomicMeasure, DiscreteDistribution, Histogram, enumerate_profiles, measure_of, sorted_l1
+from sortdist.core import AtomicMeasure, DiscreteDistribution, Histogram, desk_profiles, measure_of, sorted_l1
 from sortdist.errors import InvalidWitnessError, MassMismatchError
 from sortdist.harness import COMPETITIVE_C1, make_distribution
 from sortdist.intervals import build_scheme
@@ -75,11 +75,11 @@ def same_bytes(got, want):
 
 
 def desk_measures(n, k):
-    """The estimator measure of every profile of n, as the desk table builds
-    them at c2 = 1."""
+    """The estimator measure of every profile of n with at most k parts, as
+    the desk table builds them at c2 = 1."""
     scheme = build_scheme(n, COMPETITIVE_C1, "estimator")
     out = []
-    for phi in enumerate_profiles(n):
+    for phi in desk_profiles(n, k):
         parts = phi.parts()
         h = Histogram(np.asarray(parts + (0,) * (k - len(parts)), dtype=np.int64))
         out.append(estimate_sorted_distribution(h, k, scheme, c2=1.0).measure)
@@ -89,16 +89,42 @@ def desk_measures(n, k):
 class TestW1Many:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_desk_distances_have_the_bytes_of_w1(self, k):
-        # every profile of every desk table at n = 4..12 against five
-        # families; uniform merges to one atom and point-mass puts k - 1
-        # of its atoms at 0
+        # every profile of every desk table at n = 4..12 (and 16 and 24 at
+        # k >= 4) against five families; uniform merges to one atom and
+        # point-mass puts k - 1 of its atoms at 0
         families = ("uniform", "two-level", "zipf:1", "zipf:2", "point-mass")
-        for n in range(4, 13):
+        for n in range(4, 13) if k < 4 else (*range(4, 13), 16, 24):
             measures = desk_measures(n, k)
             batch = MeasureBatch(measures)
             for fam in families:
                 nu = measure_of(make_distribution(fam, k))
                 assert same_bytes(w1_many(batch, nu), [w1(m, nu) for m in measures]), (n, fam)
+
+    @pytest.mark.parametrize("atoms,nu_atoms", [(10, 10), (13, 4)])
+    def test_rows_of_sixteen_or_more_terms_keep_the_bytes_of_w1(self, atoms, nu_atoms):
+        # rows padded to the widest one and summed by one dot each rounded
+        # apart from w1 once a dot reached 16 terms: 94 of 301 rows at
+        # (10, 10), 129 at (13, 4), the widest row of the n = 48 desk
+        rng = np.random.default_rng(atoms)
+        measures = [random_measure(rng, int(rng.integers(1, atoms + 1))) for _ in range(301)]
+        nu = random_measure(rng, nu_atoms)
+        assert same_bytes(w1_many(MeasureBatch(measures), nu), [w1(m, nu) for m in measures])
+
+    def test_long_rows_that_share_locations_with_nu(self):
+        # a shared location adds a term of gap 0, which a dot of 16 or more
+        # terms does not add in order
+        rng = np.random.default_rng(14)
+        grid = np.linspace(0.0, 0.9, 30)
+        nu = AtomicMeasure(rng.choice(grid, 10, replace=False), random_measure(rng, 10).weights)
+        measures = []
+        for _ in range(200):
+            m = random_measure(rng, int(rng.integers(6, 15)))
+            loc = m.locations.copy()
+            j = int(rng.integers(1, loc.size + 1))
+            loc[:j] = rng.choice(grid, j, replace=False)
+            measures.append(AtomicMeasure(loc, m.weights))
+        assert sum(bool(np.isin(m.locations, nu.locations).any()) for m in measures) > 150
+        assert same_bytes(w1_many(MeasureBatch(measures), nu), [w1(m, nu) for m in measures])
 
     def test_rows_that_share_locations_with_nu(self):
         rng = np.random.default_rng(12)
