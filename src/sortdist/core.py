@@ -7,6 +7,7 @@ scale, the sorted-l1 distance, and stable Poisson/binomial pmf kernels.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -281,9 +282,11 @@ def enumerate_profiles(n: int) -> list[Profile]:
     return [Profile(np.bincount(parts, minlength=n + 1)[1:]) for parts in _partitions(n, n, n)]
 
 
+@functools.cache
 def count_profiles(n: int, k: int) -> int:
     """p_k(n), the partitions of n into at most k parts: by conjugation,
-    those into parts of at most k, counted one part size at a time."""
+    those into parts of at most k, counted one part size at a time.  Kept
+    per (n, k), since every competitive check counts its desk."""
     ways = [1] + [0] * n
     for part in range(1, min(k, n) + 1):
         for m in range(part, n + 1):
@@ -321,12 +324,13 @@ class ProfileBatch:
     DESK_PROFILE_CAP profiles of n <= EXACT_SCALE_N.
 
     A profile with more parts than k gives exactly 0.0 and takes no part
-    in the DP.  Each other profile, in `live`, holds its distinct parts
-    `values` in ascending order (the int64 array np.unique gives), its
-    multiplicities as its full state `full` in one padded state `shape`
-    (the elementwise max of mult + 1 over the batch), and its multinomial
-    coefficient n!/prod_i (i!)^phi_i in `coefs`.  The DP holds two states
-    of prod(shape) x live profiles x rows doubles, so
+    in the DP; the desk's batches (`desk_profiles`) hold every profile
+    with at most k parts and no other.  Each other profile, in `live`,
+    holds its distinct parts `values` in ascending order (the int64 array
+    np.unique gives), its multiplicities as its full state `full` in one
+    padded state `shape` (the elementwise max of mult + 1 over the batch),
+    and its multinomial coefficient n!/prod_i (i!)^phi_i in `coefs`.  The
+    DP holds two states of prod(shape) x live profiles x rows doubles, so
     `profile_probability_many` blocks the rows.
     """
 

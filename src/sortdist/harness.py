@@ -56,7 +56,7 @@ __all__ = [
 BENCH_N_CAP = 10**6
 BENCH_TRIALS_CAP = 10**3
 # interval constant of the estimator scheme in the competitive check; n is at
-# most 49 there at k >= 4, so ExperimentConfig's c1 (sized for n in the
+# most 170 there (49 at k = 4), so ExperimentConfig's c1 (sized for n in the
 # thousands) is not used
 COMPETITIVE_C1 = 1.0
 # relative tolerance above 2 eps + eps_prime before a PML counts as a direct
@@ -295,9 +295,8 @@ def run_competitive_check(config: ExperimentConfig) -> dict:
     table's profile count, `core.check_desk_size`, and k <= PML_K_CAP) and
     the family are checked on every call.  A pass over a kept table makes
     one `core.profile_probability_many` call, for every profile of the
-    table under p,
-    and finds the good set with one `w1_many` call, from the table's
-    `MeasureBatch` of estimator measures to p's measure.
+    table under p, and finds the good set with one `w1_many` call, from
+    the table's `MeasureBatch` of estimator measures to p's measure.
     """
     n, k, c2 = config.n, config.k, config.c2
     check_desk_size("competitive check", n, k)

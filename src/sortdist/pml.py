@@ -312,9 +312,9 @@ def good_set(
 ) -> tuple[list[Profile], float]:
     """Profiles of size n on which the estimator lands within eps of p.
 
-    Exact enumeration of every profile with at most p.k parts (`desk_profiles`;
-    the others have probability 0 under p); also returns the total profile
-    probability of the set under p.
+    Exact enumeration of every profile with at most p.k parts
+    (`desk_profiles`; the others have probability 0 under p); also returns
+    the total profile probability of the set under p.
     """
     good = [phi for phi in desk_profiles(n, p.k) if loss(estimator(phi), p) <= eps]
     return good, _set_mass(p, good)

@@ -8,7 +8,7 @@ CLI determinism criterion (estimate, benchmark, competitive, approx, pml),
 a (1e4, 5000) `zipf:1` benchmark of 3 trials at seed 101, the competitive
 checks of the `pml-desk` benchmark workload (n = 8, k = 4, eps = 0.6,
 c2 = 1 on `uniform`, `two-level` and `zipf:1`), the competitive check at
-the scale cap (n = 12, k = 4: 77 profiles), a k_max = 5 PML whose
+n = 12, k = 4 (34 profiles with at most 4 parts), a k_max = 5 PML whose
 ascent runs through many sweeps, and the `approx-sweep` workload's
 `approx` run over n = 1024, 4096 and 16384, whose constructions glue wide
 blocks and whose checks evaluate many pmf windows together.  Outputs go

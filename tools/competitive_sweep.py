@@ -1,10 +1,10 @@
-"""Run the exact competitive check over n = 4..12, three families and three eps.
+"""Run the exact competitive check over n = 4..24, three families and three eps.
 
     python3 tools/competitive_sweep.py --src src --out SWEEP_competitive.json
     python3 tools/competitive_sweep.py --src parent/src --repeats 5
 
-The points are every n from 4 to 12 at k = 4 and c2 = 1, the families
-`uniform`, `two-level` and `zipf:1`, and eps in {0.3, 0.6, 1.0}: 81
+The points are every n from 4 to 24 at k = 4 and c2 = 1, the families
+`uniform`, `two-level` and `zipf:1`, and eps in {0.3, 0.6, 1.0}: 189
 checks.  They run n by n, so on a tree that keeps its desk table
 (`harness.DeskTable`, built once per (n, k, c2)) the nine checks at one n
 build one table and eight read it; a tree that keeps none builds it on
@@ -25,7 +25,7 @@ builds the table and the nine checks that read it are timed, so the pass
 cost is reported apart from the cold builds (on a tree that keeps no
 table every check builds, and the warm times are cold ones).  It prints
 one JSON object: the sweep times and their median, the desk tables built
-per sweep (null on a tree with no `DeskTable`), the summed time of the 81
+per sweep (null on a tree with no `DeskTable`), the summed time of the 189
 warm passes per repeat and its median, the process peak RSS and the
 SHA-256 of the rows.
 """
@@ -42,7 +42,7 @@ import sys
 import time
 from pathlib import Path
 
-NS = tuple(range(4, 13))
+NS = tuple(range(4, 25))
 K = 4
 C2 = 1.0
 FAMILIES = ("uniform", "two-level", "zipf:1")
@@ -69,7 +69,7 @@ def check(harness, n: int, family: str, eps: float) -> dict:
 
 
 def warm_passes(harness) -> float:
-    """Seconds of the 81 checks, each n's table built by an untimed check first."""
+    """Seconds of the 189 checks, each n's table built by an untimed check first."""
     spent = 0.0
     for n in NS:
         drop_desk(harness)
