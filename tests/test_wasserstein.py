@@ -103,8 +103,8 @@ class TestW1Many:
     @pytest.mark.parametrize("atoms,nu_atoms", [(10, 10), (13, 4)])
     def test_rows_of_sixteen_or_more_terms_keep_the_bytes_of_w1(self, atoms, nu_atoms):
         # rows padded to the widest one and summed by one dot each rounded
-        # apart from w1 once a dot reached 16 terms: 94 of 301 rows at
-        # (10, 10), 129 at (13, 4), the widest row of the n = 48 desk
+        # apart from w1 once a dot reached 16 terms: 90 of these 301 rows
+        # at (10, 10), 144 at (13, 4), the widest row of the n = 48 desk
         rng = np.random.default_rng(atoms)
         measures = [random_measure(rng, int(rng.integers(1, atoms + 1))) for _ in range(301)]
         nu = random_measure(rng, nu_atoms)
