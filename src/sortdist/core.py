@@ -469,35 +469,78 @@ def _stirlerr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bd0(x: np.ndarray, mu) -> np.ndarray:
-    """Binomial deviance x*log(x/mu) + mu - x, series form near x = mu."""
+# Rows of scratch that `_bd0` uses, each at least as long as its input.
+_BD0_ROWS = 7
+
+
+def _bd0(x: np.ndarray, mu, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Binomial deviance x*log(x/mu) + mu - x, series form near x = mu.
+
+    x is 1-D.  The result goes to `out` and the temporaries to `work`, _BD0_ROWS
+    rows at least x.size long, each allocated when not given; the bytes do
+    not depend on which.  The series runs over the near entries only, in
+    place, and stops when no partial sum changes any more.
+    """
     x = np.asarray(x, dtype=float)
-    mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), x.shape)
-    out = np.empty_like(x)
-    near = np.abs(x - mu_arr) < 0.1 * (x + mu_arr)
-    xf, mf = x[~near], mu_arr[~near]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(xf > 0, xf * np.log(np.where(xf > 0, xf, 1.0) / mf), 0.0) + mf - xf
-    out[~near] = direct
-    xn, mn = x[near], mu_arr[near]
-    v = (xn - mn) / (xn + mn)
-    s = (xn - mn) * v
-    ej = 2.0 * xn * v
-    v2 = v * v
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), x.shape)
+    size = x.size
+    if out is None:
+        out = np.empty_like(x)
+    if work is None:
+        work = np.empty((_BD0_ROWS, size))
+    diff, total, s_new, ej, xn, dn, tn = work[:, :size]
+    np.subtract(x, mu, out=diff)
+    np.add(x, mu, out=total)
+    # near: |x - mu| < 0.1 (x + mu), formed in the rows the series uses later
+    np.abs(diff, out=s_new)
+    np.multiply(total, 0.1, out=ej)
+    near = s_new < ej
+    if near.all():
+        xn, dn, tn = x, diff, total
+    else:
+        far = ~near
+        count = int(np.count_nonzero(far))
+        xf, mf, direct = np.compress(far, x, out=xn[:count]), np.compress(far, mu, out=dn[:count]), tn[:count]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(xf, mf, out=direct)
+            np.log(direct, out=direct)
+            direct *= xf
+        direct[xf <= 0] = 0.0
+        direct += mf
+        direct -= xf
+        out[far] = direct
+        count = size - count
+        xn, dn, tn = (np.compress(near, a, out=b[:count]) for a, b in ((x, xn), (diff, dn), (total, tn)))
+        s_new, ej = s_new[:count], ej[:count]
+    v = np.divide(dn, tn, out=tn)
+    s = np.multiply(dn, v, out=dn)
+    np.multiply(xn, 2.0, out=ej)
+    ej *= v
+    v2 = np.multiply(v, v, out=v)
     for jj in range(1, 40):
-        ej = ej * v2
-        s_new = s + ej / (2 * jj + 1)
+        ej *= v2
+        np.divide(ej, 2 * jj + 1, out=s_new)
+        s_new += s
         if np.array_equal(s_new, s):
             break
-        s = s_new
+        s, s_new = s_new, s
     out[near] = s
     return out
 
 
-def _saddle_pmf(lam, xs: np.ndarray, neg_stirlerr: np.ndarray, half_log: np.ndarray) -> np.ndarray:
+def _saddle_pmf(
+    lam, xs: np.ndarray, neg_stirlerr: np.ndarray, half_log: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """The saddle-point pmf at counts xs > 0 and rate lam (one rate, or one
-    per count), given their count-only terms -stirlerr(xs) and log(2 pi xs) / 2."""
-    return np.exp(neg_stirlerr - _bd0(xs, lam) - half_log)
+    per count), given their count-only terms -stirlerr(xs) and log(2 pi xs) / 2.
+    `work` is scratch of _BD0_ROWS + 1 rows at least xs.size long (allocated
+    when not given) for the log pmf and `_bd0`; the pmf is a new array."""
+    if work is None:
+        work = np.empty((_BD0_ROWS + 1, xs.size))
+    log_pmf = _bd0(xs, lam, out=work[0, : xs.size], work=work[1:])
+    np.subtract(neg_stirlerr, log_pmf, out=log_pmf)
+    log_pmf -= half_log
+    return np.exp(log_pmf)
 
 
 def poisson_pmf(lam: float, j) -> np.ndarray | float:
@@ -520,7 +563,10 @@ def poisson_pmf(lam: float, j) -> np.ndarray | float:
 
 # Counts per chunk in `poisson_pmf_windows`: about 40 of the 673 windows of
 # `verify_bounds` share one deviance pass at n = 1024, and about 12 at
-# n = 16384, while each temporary of the pass stays at 128 KB.
+# n = 16384.  Every chunk runs in one workspace of _BD0_ROWS + 5 rows of this
+# length, allocated once per call, so the pass makes one new array per
+# chunk (its pmf) instead of a fresh set of chunk-sized temporaries that the
+# heap returns to the system and faults back in.
 _CHUNK_COUNTS = 1 << 14
 
 
@@ -535,13 +581,14 @@ def poisson_pmf_windows(lams, lo, hi):
     end in chunks of at most _CHUNK_COUNTS counts (a wider window is a chunk
     of its own), and each chunk pays one deviance and one exp over its
     counts, each count against its window's rate; the windows are yielded
-    as slices of their chunk.  `_bd0` is elementwise but for its
-    stopping rule, and an element whose series sum has stopped changing
-    never changes again, since later terms only shrink, so every window
-    keeps the bytes it has alone.  A zero rate needs no case of its own: its
-    deviance is +inf at every count above 0, where its pmf comes out 0.0,
-    and the count-0 entry is math.exp(-lam) at every rate.  Memory stays
-    that of one chunk or of the widest window.
+    as slices of their chunk's pmf, a new array that later chunks leave
+    alone.  `_bd0` is elementwise but for its stopping rule, and an element
+    whose series sum has stopped changing never changes again, since later
+    terms only shrink, so every window keeps the bytes it has alone.  A zero
+    rate needs no case of its own: its deviance is +inf at every count above
+    0, where its pmf comes out 0.0, and the count-0 entry is math.exp(-lam)
+    at every rate.  The chunks share one workspace, as long as the longest
+    chunk.
     """
     lams = np.asarray(lams, dtype=float)
     lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
@@ -558,17 +605,25 @@ def poisson_pmf_windows(lams, lo, hi):
     half_log[1:] = 0.5 * np.log(2.0 * math.pi * counts[1:])
     sizes = np.maximum(hi - lo + 1, 0)
     ends = np.cumsum(sizes)
+    longest = min(int(ends[-1]) if ends.size else 0, max(_CHUNK_COUNTS, int(sizes.max(initial=0))))
+    work = np.empty((_BD0_ROWS + 5, longest))
+    rates, xs, chunk_stirlerr, chunk_half_log = work[:4]
     first = 0
     while first < lams.size:
         base = int(ends[first - 1]) if first else 0
         stop = max(first + 1, int(np.searchsorted(ends, base + _CHUNK_COUNTS, side="right")))
         size = sizes[first:stop]
-        # the count of every chunk entry, as an index into the count tables;
-        # a count-0 entry is computed and then overwritten
         starts = ends[first:stop] - size - base
-        idx = np.arange(int(ends[stop - 1]) - base) + np.repeat(lo[first:stop] - starts, size)
-        pmf = _saddle_pmf(np.repeat(lams[first:stop], size), counts[idx], neg_stirlerr[idx], half_log[idx])
-        for lam, a, at, width in zip(lams[first:stop].tolist(), lo[first:stop].tolist(), starts.tolist(), size.tolist()):
+        windows = list(zip(lams[first:stop].tolist(), lo[first:stop].tolist(), starts.tolist(), size.tolist()))
+        # a count-0 entry is computed and then overwritten
+        for lam, a, at, width in windows:
+            rates[at : at + width] = lam
+            xs[at : at + width] = counts[a : a + width]
+            chunk_stirlerr[at : at + width] = neg_stirlerr[a : a + width]
+            chunk_half_log[at : at + width] = half_log[a : a + width]
+        used = int(ends[stop - 1]) - base
+        pmf = _saddle_pmf(rates[:used], xs[:used], chunk_stirlerr[:used], chunk_half_log[:used], work[4:])
+        for lam, a, at, width in windows:
             out = pmf[at : at + width]
             if width and a == 0:
                 out[0] = math.exp(-lam)

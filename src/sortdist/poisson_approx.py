@@ -12,6 +12,7 @@ coefficient within O(n^(eps-1) sqrt(j)) of the plain choice f(j/n).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,7 +45,7 @@ DEFAULT_APPROX_C1 = 4.0
 DEFAULT_APPROX_C2 = 1.2
 
 # Doubles in one tile's reduce buffer in `glue`, r (r + width) for r rows:
-# keeps its working memory flat in n, at 128 KB.
+# keeps its working memory flat in n, at 128 KB per block.
 _TILE_DOUBLES = 1 << 14
 
 
@@ -195,10 +196,13 @@ def glue(
     gammaln(l + 1) - j log 2, subtracted in that order, with the log-gamma
     values and j log 2 read from tables over 0..j_max.  Each block's terms
     are built in tiles whose row l is the window j = l + k_lo .. l + k_hi of
-    those tables.  A tile of r rows is written into a zero buffer of r + 1
+    those tables.  A tile of r rows is written into a buffer of r + 1
     rows, row l shifted right by l, below the output segment it covers in
     row 0, and one reduce over the rows replaces that segment; tiles keep
-    r (r + width) within _TILE_DOUBLES values.  The reduce adds rows in
+    r (r + width) within _TILE_DOUBLES values.  Each block allocates one
+    tile array and one buffer, zeroed once, both sized for its full tiles; a
+    tile overwrites the whole skewed band of its rows, and a short last tile
+    takes the top-left corner, so the triangles beside the band stay zero.  The reduce adds rows in
     order, so every b_j sees its terms in ascending l, block by block, as
     when adding one term at a time.  Rows of b_l = 0 and the buffer's zeros
     add +0.0, which leaves the output (never -0.0) as it is, so the result
@@ -235,20 +239,23 @@ def glue(
         l_end = blk.offset + int(nonzero[-1]) + 1
         # the largest r with r (r + width) <= _TILE_DOUBLES, at least 1
         step = max(1, (math.isqrt(width * width + 4 * _TILE_DOUBLES) - width) // 2)
+        tiles = np.empty((step, width))
+        buf = np.zeros((step + 1, step - 1 + width))
+        band = as_strided(buf[1:], shape=(step, width), strides=(buf.strides[0] + buf.itemsize, buf.itemsize))
         for l_first in range(blk.offset + int(nonzero[0]), l_end, step):
             ls = range(l_first, min(l_first + step, l_end))
+            rows = len(ls)
             windows = slice(ls.start + k_lo, ls.stop + k_lo)
-            tile = fact_rows[windows] - fact_k
+            tile = np.subtract(fact_rows[windows], fact_k, out=tiles[:rows])
             tile -= log_fact[ls.start : ls.stop, None]
             tile -= log2_rows[windows]
             np.exp(tile, out=tile)
             segment = out[ls.start + k_lo : ls.stop + k_hi]
-            buf = np.zeros((len(ls) + 1, segment.size))
-            buf[0] = segment
-            skewed = as_strided(buf[1:], shape=(len(ls), width), strides=(buf.strides[0] + buf.itemsize, buf.itemsize))
+            sub = buf[: rows + 1, : segment.size]
+            sub[0] = segment
             b = blk.values[ls.start - blk.offset : ls.stop - blk.offset]
-            np.multiply(tile, b[:, None], out=skewed)
-            np.add.reduce(buf, axis=0, out=segment)
+            np.multiply(tile, b[:, None], out=band[:rows])
+            np.add.reduce(sub, axis=0, out=segment)
     return out
 
 
@@ -279,11 +286,24 @@ def _support_cut(n: int, delta: float) -> int:
     return int(math.floor((1.0 + delta) * n + 1e-9))
 
 
-def naive_coefficients(f: Callable[[float], float], n: int, delta: float = 1.0) -> PoissonPolynomial:
-    """The plain choice b_j = f(j/n), truncated at (1 + delta) n."""
+def _on_array(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f called once on the float array x; a scalar result (a constant f)
+    fills x's shape."""
+    return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape).copy()
+
+
+def naive_coefficients(
+    f: Callable[[np.ndarray], np.ndarray], n: int, delta: float = 1.0
+) -> PoissonPolynomial:
+    """The plain choice b_j = f(j/n), truncated at (1 + delta) n.
+
+    n must be an integer >= 1.  f is called once, on the float array of
+    every j/n, and returns an array of its values or one value for all.
+    """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     cut = _support_cut(n, delta)
-    j = np.arange(0, cut + 1)
-    coeffs = np.asarray([f(float(t) / n) for t in j])
+    coeffs = _on_array(f, np.arange(0, cut + 1) / n)
     return PoissonPolynomial(n=n, delta=delta, coeffs=coeffs)
 
 
@@ -331,28 +351,33 @@ def build_poisson_approximation(
 
 def verify_bounds(
     poly: PoissonPolynomial,
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     eps: float = 0.5,
 ) -> ApproxReport:
     """Measured statistics behind the approximation guarantees.
 
     Reports the weighted sup error sup_x |f - F| / sqrt(max(x, 1/n)/(n log n)),
     the worst coefficient deviation |b_j - f(j/n)| * n^(1-eps) / (1 + sqrt(j)),
-    and whether the support cut at (1 + delta) n holds exactly.
+    and whether the support cut at (1 + delta) n holds exactly.  poly.n must
+    be an integer >= 2, so that n log n > 0.  f is called twice, each time
+    on a float array (the x grid, then every j/n), and returns an array of
+    its values or one value for all.
     """
     if not math.isfinite(eps):
         raise DomainError(f"eps must be finite, not {eps!r}")
     n = poly.n
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
     x_grid = np.unique(
         np.concatenate([np.linspace(0.0, 1.0, 513), np.geomspace(1.0 / (4 * n), 0.05, 160)])
     )
-    f_vals = np.asarray([f(float(x)) for x in x_grid])
+    f_vals = _on_array(f, x_grid)
     F_vals = evaluate(poly, x_grid)
     weights = np.sqrt(np.maximum(x_grid, 1.0 / n) / (n * math.log(n)))
     sup_err = float(np.abs(f_vals - F_vals).max())
     sup_weighted = float((np.abs(f_vals - F_vals) / weights).max())
     j = np.arange(poly.coeffs.size)
-    f_at_j = np.asarray([f(float(t) / n) for t in j])
+    f_at_j = _on_array(f, j / n)
     dev = np.abs(poly.coeffs - f_at_j) * n ** (1.0 - eps) / (1.0 + np.sqrt(j))
     cut = _support_cut(n, poly.delta)
     support_ok = poly.coeffs.size - 1 <= cut or not np.any(poly.coeffs[cut + 1 :])

@@ -527,9 +527,11 @@ class TestPmfKernels:
         with pytest.raises(DomainError):
             binomial_pmf(3, 1.5, 0)
 
-    @pytest.mark.parametrize("chunk", [None, 7, 1000], ids=["default-chunk", "chunk-7", "chunk-1000"])
+    @pytest.mark.parametrize("chunk", [None, 7, 1000, 300], ids=["default-chunk", "chunk-7", "chunk-1000", "chunk-300"])
     def test_poisson_windows_are_byte_equal_to_poisson_pmf(self, monkeypatch, chunk):
-        # small chunks put chunk edges between and inside the windows
+        # small chunks put chunk edges between and inside the windows; the
+        # windows are collected before they are compared, so every chunk's
+        # windows are checked after the later chunks have reused the workspace
         if chunk is not None:
             monkeypatch.setattr(sortdist.core, "_CHUNK_COUNTS", chunk)
         # zero rates, windows from count 0, one-count, empty and far windows
@@ -559,6 +561,44 @@ class TestPmfKernels:
         for lam, a, b, got in zip(lams, lo, hi, windows):
             want = poisson_pmf(lam, np.arange(a, b + 1))
             assert got.tobytes() == want.tobytes()
+        if chunk is not None:
+            # at least 3 chunks, a window wider than a chunk, and a chunk
+            # whose counts take both the series and the direct form of _bd0
+            near = {}
+            for lam, a, got in zip(lams, lo, windows):
+                x = np.arange(a, a + got.size, dtype=float)
+                near.setdefault(id(got.base), []).append(np.abs(x - lam) < 0.1 * (x + lam))
+            assert len(near) >= 3
+            assert max(got.size for got in windows) > chunk
+            assert any(np.concatenate(v).any() and not np.concatenate(v).all() for v in near.values())
+
+    def test_bd0_workspace_keeps_bytes(self):
+        # all near, all far, mixed, zero counts and zero rates, one rate or
+        # one per count, against rows longer than the input that hold stale values
+        from sortdist.core import _BD0_ROWS, _bd0
+
+        rng = np.random.default_rng(5)
+        work = np.full((_BD0_ROWS, 400), np.nan)
+        for trial in range(300):
+            size = int(rng.integers(0, 300))
+            x = np.floor(rng.exponential(float(rng.choice([1.0, 30.0, 1e3, 1e5])), size))
+            kind = trial % 4
+            if kind == 0:
+                mu = rng.exponential(float(rng.choice([1.0, 30.0, 1e3, 1e5])), size)
+                mu[rng.random(size) < 0.05] = 0.0
+            elif kind == 1:
+                mu = (x + 1.0) * rng.uniform(0.85, 1.15, size)
+            elif kind == 2:
+                mu = float(rng.exponential(100.0))
+            else:
+                mu = (x + 1.0) * rng.choice([0.01, 100.0], size)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = _bd0(x, mu)
+                out = np.full(size, 7.0)
+                got = _bd0(x, mu, out=out, work=work)
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+            work[:, ::7] = rng.normal(size=work[:, ::7].shape)
 
     def test_poisson_windows_domain_errors(self):
         with pytest.raises(DomainError):

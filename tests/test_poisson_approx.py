@@ -302,9 +302,11 @@ def hand_made_blocks():
     return blocks, n, s
 
 
-@pytest.mark.parametrize("tile", [None, 7, 1000], ids=["default-tile", "tile-7", "tile-1000"])
+@pytest.mark.parametrize("tile", [None, 7, 1000, 5000], ids=["default-tile", "tile-7", "tile-1000", "tile-5000"])
 def test_glue_matches_reference_loop(monkeypatch, tile):
-    # small tiles put chunk edges inside every block
+    # small tiles put chunk edges inside every block; each block reuses one
+    # reduce buffer, so a short last tile and the next block's new shape
+    # must not see what earlier tiles left in it
     if tile is not None:
         monkeypatch.setattr(poisson_approx, "_TILE_DOUBLES", tile)
     cases = [hand_made_blocks()]
@@ -319,6 +321,18 @@ def test_glue_matches_reference_loop(monkeypatch, tile):
     assert k_hi - k_lo + 1 <= 20
     values = np.random.default_rng(12).normal(size=3000)
     cases.append(([LocalBlock(m=1, rate=n / 2.0, offset=0, values=values)], n, s))
+    # two blocks of different widths, so the tile shape changes between
+    # them, each with rows for three full tiles and a short fourth
+    widths, blocks = [], []
+    for m in (s.M - 1, s.M):
+        k_lo, k_hi = s.half_range(m)
+        width = k_hi - max(k_lo, 0) + 1
+        step = max(1, (math.isqrt(width * width + 4 * poisson_approx._TILE_DOUBLES) - width) // 2)
+        values = np.random.default_rng(m).normal(size=3 * step + max(1, step // 2))
+        widths.append(width)
+        blocks.append(LocalBlock(m=m, rate=n / 2.0, offset=int(s.cut_left[m - 1] * n / 2.0), values=values))
+    assert widths[0] != widths[1]
+    cases.append((blocks, n, s))
     for blocks, n, s in cases:
         assert glue(blocks, n, s).tobytes() == reference_glue(blocks, s).tobytes()
 
@@ -451,3 +465,55 @@ class TestEvaluate:
             above = float(gammainc(hi + 1.0, lam))
             worst = max(worst, below + above)
         assert worst < 1e-20
+
+
+def per_scalar(f):
+    """f called once per point, as a Python float, on an array of points."""
+    return lambda x: np.asarray([f(float(t)) for t in np.ravel(x)]).reshape(np.shape(x))
+
+
+class TestArrayFunctions:
+    @pytest.mark.parametrize("name", ["abs", "abs@0.3", "identity", "zero"])
+    @pytest.mark.parametrize("n", [2, 64, 1024, 16384])
+    def test_array_calls_match_per_scalar_calls(self, name, n):
+        f = parse_function(name)
+        naive = naive_coefficients(f, n)
+        assert naive.coeffs.tobytes() == naive_coefficients(per_scalar(f), n).coeffs.tobytes()
+        assert naive.coeffs.tobytes() == np.asarray([float(f(j / n)) for j in range(2 * n + 1)]).tobytes()
+        polys = (naive, build_poisson_approximation(f, n)) if n >= 64 else (naive,)
+        for poly in polys:
+            assert verify_bounds(poly, f) == verify_bounds(poly, per_scalar(f))
+
+    def test_f_is_called_on_float_arrays(self):
+        seen = []
+
+        def f(x):
+            seen.append((type(x), x.dtype, x.shape))
+            return np.abs(x - 0.5)
+
+        poly = naive_coefficients(f, 64)
+        verify_bounds(poly, f)
+        assert [(t, d) for t, d, _ in seen] == [(np.ndarray, np.float64)] * 3
+        assert seen[0][2] == seen[2][2] == (129,)
+
+    def test_a_constant_fills_the_shape(self):
+        poly = naive_coefficients(lambda x: 0.25, 64, delta=0.5)
+        assert poly.coeffs.shape == (97,) and poly.coeffs.dtype == np.float64
+        assert np.all(poly.coeffs == 0.25)
+        assert verify_bounds(poly, lambda x: 0.25).max_coeff_deviation == 0.0
+
+    @pytest.mark.parametrize("n", [0, -4, 2.5, 64.0, "64", None])
+    def test_naive_coefficients_rejects_a_bad_n(self, n):
+        with pytest.raises(DomainError, match="n must be"):
+            naive_coefficients(parse_function("abs"), n)
+
+    @pytest.mark.parametrize("n", [1, 0, -4, 2.5])
+    def test_verify_bounds_rejects_a_bad_n(self, n):
+        from sortdist.poisson_approx import PoissonPolynomial
+
+        poly = PoissonPolynomial(n=n, delta=1.0, coeffs=np.ones(8))
+        with pytest.raises(DomainError, match="n must be"):
+            verify_bounds(poly, parse_function("abs"))
+        if n == 1:
+            with pytest.raises(DomainError, match="n must be"):
+                verify_bounds(naive_coefficients(parse_function("abs"), 1), parse_function("abs"))

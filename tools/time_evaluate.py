@@ -7,15 +7,17 @@ The package is imported from the `--src` directory, so the same command
 times two source trees.  For each n the `abs` construction
 `build_poisson_approximation(abs, n)` is built once (untimed), then
 `verify_bounds(poly, abs)` is timed `--repeats` times; its 673-point x grid
-evaluation is most of that time.  The values of `evaluate` over that grid
+evaluation is most of that time.  Each timed call also records the minor
+page faults it took, the change in `resource.getrusage(RUSAGE_SELF).ru_minflt`.  The values of `evaluate` over that grid
 are kept untimed, twice: one scalar call per point, which builds one pmf
 window per call, and the single array call `evaluate(poly, x_grid)`, which
 builds the windows of many points together.  `--save` writes both to an
 .npz file, and `--reference` reads such a file from another tree and
 reports, for each, the largest relative difference per n (absolute where
 the reference value is 0) and the count of values that moved.
-Prints one JSON object: per n the times, their median, the SHA-256 of both
-value arrays, and the differences when a reference is given.
+Prints one JSON object: per n the times, their median, the minor faults
+per call and their median, the SHA-256 of both value arrays, and the
+differences when a reference is given.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import sys
 import time
@@ -49,15 +52,21 @@ def main(argv: list[str] | None = None) -> int:
     rows, values = [], {}
     for n in (int(v) for v in args.n_list.split(",")):
         poly = build_poisson_approximation(f, n)
-        times = []
+        times, faults = [], []
         for _ in range(args.repeats):
+            fault_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             verify_bounds(poly, f)
             times.append(time.perf_counter() - start)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - fault_start)
         x_grid = np.unique(
             np.concatenate([np.linspace(0.0, 1.0, 513), np.geomspace(1.0 / (4 * n), 0.05, 160)])
         )
-        row = {"n": n, "verify_s": times, "verify_s_median": statistics.median(times), "points": int(x_grid.size)}
+        row = {
+            "n": n, "verify_s": times, "verify_s_median": statistics.median(times),
+            "verify_minflt": faults, "verify_minflt_median": statistics.median(faults),
+            "points": int(x_grid.size),
+        }
         calls = {
             "": np.asarray([evaluate(poly, float(x)) for x in x_grid]),
             "array_": np.asarray(evaluate(poly, x_grid)),

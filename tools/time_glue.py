@@ -5,9 +5,11 @@
 The package is imported from the `--src` directory, so the same command
 times two source trees.  For each n the blocks of
 `build_poisson_approximation(abs, n)` are built once (untimed), then `glue`
-is timed `--repeats` times.  Prints one JSON object: per n the times and
-their median, the output length and the SHA-256 of the coefficient bytes,
-so two trees can be checked for byte-equal output.
+is timed `--repeats` times, and each timed call also records the minor page
+faults it took, the change in `resource.getrusage(RUSAGE_SELF).ru_minflt`.
+Prints one JSON object: per n the times and their median, the faults per
+call and their median, the output length and the SHA-256 of the
+coefficient bytes, so two trees can be checked for byte-equal output.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import sys
 import time
@@ -35,13 +38,16 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for n in (int(v) for v in args.n_list.split(",")):
         poly = build_poisson_approximation(parse_function("abs"), n)
-        times = []
+        times, faults = [], []
         for _ in range(args.repeats):
+            fault_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             coeffs = glue(poly.blocks, n, poly.scheme)
             times.append(time.perf_counter() - start)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - fault_start)
         rows.append({
             "n": n, "glue_s": times, "glue_s_median": statistics.median(times),
+            "glue_minflt": faults, "glue_minflt_median": statistics.median(faults),
             "length": int(coeffs.size),
             "sha256": hashlib.sha256(coeffs.tobytes()).hexdigest(),
         })
