@@ -30,7 +30,7 @@ from .harness import (
 from .intervals import DEFAULT_C1, build_scheme
 from .lmm import estimate_sorted_distribution
 from .moments import DEFAULT_C2
-from .pml import brute_force_pml, check_brute_force_caps
+from .pml import PML_GRID_RESOLUTION, brute_force_pml, check_brute_force_caps
 from .poisson_approx import DEFAULT_APPROX_C1, DEFAULT_APPROX_C2
 
 
@@ -123,19 +123,19 @@ def _cmd_pml(args) -> int:
     # the search's caps are checked before the profile is built
     if args.profile:
         n, multiplicities = _parse_profile(args.profile)
-        check_brute_force_caps(n, args.kmax, args.resolution)
+        check_brute_force_caps(n, args.kmax)
         phi = Profile.from_sparse(n, multiplicities)
     else:
         h = _read_histogram(args.histogram)
-        check_brute_force_caps(h.n, args.kmax, args.resolution)
+        check_brute_force_caps(h.n, args.kmax)
         phi = profile_of_histogram(h)
-    pml, like = brute_force_pml(phi, k_max=args.kmax, grid_resolution=args.resolution)
+    pml, like = brute_force_pml(phi, k_max=args.kmax)
     payload = {
         "profile": json.loads(phi.to_sparse_json()),
         "pml_masses": [float(x) for x in pml.masses],
         "certified_likelihood_lower_bound": like,
         "kmax": args.kmax,
-        "grid_resolution": args.resolution,
+        "grid_resolution": PML_GRID_RESOLUTION,
     }
     _write(Path(args.out), json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return 0
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--profile", help='comma multiplicities "2,0,1" or sparse JSON')
     group.add_argument("--histogram", help="newline-separated counts file")
     pml.add_argument("--kmax", type=int, default=5)
-    pml.add_argument("--resolution", type=int, default=60)
     pml.add_argument("--out", required=True)
     pml.set_defaults(func=_cmd_pml)
     return parser

@@ -25,7 +25,6 @@ __all__ = [
     "AtomicMeasure",
     "histogram_of_samples",
     "profile_of_histogram",
-    "enumerate_profiles",
     "count_profiles",
     "desk_profiles",
     "profile_probability",
@@ -41,7 +40,6 @@ __all__ = [
 _MASS_TOL = 1e-12
 _MERGE_TOL = 1e-14
 
-PROFILE_ENUM_CAP = 20
 # the double range: a profile's coefficient n!/prod_i (i!)^phi_i is at most
 # n!, and 171! overflows a double
 EXACT_SCALE_N = 170
@@ -152,13 +150,16 @@ class Profile:
 
     @staticmethod
     def from_sparse(n: int, phi: dict[int, int]) -> "Profile":
-        """The profile of sample size n with phi[i] symbols seen i times."""
+        """The profile of sample size n with phi[i] symbols seen i times;
+        each i in 1..n and each phi[i] in 0..n // i."""
         if n < 1:
             raise DomainError("a profile needs n >= 1")
         dense = np.zeros(n, dtype=np.int64)
         for i, c in phi.items():
             if not 1 <= i <= n:
                 raise DomainError(f"multiplicity index {i} outside 1..{n}")
+            if not 0 <= c <= n // i:
+                raise DomainError(f"multiplicity {c} of index {i} outside 0..{n // i}")
             dense[i - 1] = c
         return Profile(dense)
 
@@ -273,15 +274,6 @@ def _partitions(n: int, max_part: int, max_parts: int):
             yield (first,) + rest
 
 
-def enumerate_profiles(n: int) -> list[Profile]:
-    """All profiles of sample size n, one per integer partition of n."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    if n > PROFILE_ENUM_CAP:
-        raise ResourceLimitError(f"profile enumeration capped at n = {PROFILE_ENUM_CAP}")
-    return [Profile(np.bincount(parts, minlength=n + 1)[1:]) for parts in _partitions(n, n, n)]
-
-
 @functools.cache
 def count_profiles(n: int, k: int) -> int:
     """p_k(n), the partitions of n into at most k parts: by conjugation,
@@ -309,8 +301,9 @@ def check_desk_size(what: str, n: int, k: int) -> None:
 
 def desk_profiles(n: int, k: int) -> list[Profile]:
     """The profiles of sample size n with at most k parts, the only ones a
-    p on k symbols gives a positive probability, in `enumerate_profiles`
-    order; capped by `check_desk_size`."""
+    p on k symbols gives a positive probability, their parts in decreasing
+    lexicographic order; capped by `check_desk_size`.  At k = n these are
+    all the profiles of n."""
     if n < 1 or k < 1:
         raise DomainError("n and k must be positive")
     check_desk_size("desk enumeration", n, k)
@@ -550,14 +543,12 @@ def poisson_pmf(lam: float, j) -> np.ndarray | float:
     jj = np.atleast_1d(np.asarray(j, dtype=float))
     if np.any(jj < 0):
         raise DomainError("count must be >= 0")
-    if lam == 0.0:
-        out = np.where(jj == 0, 1.0, 0.0)
-    else:
-        out = np.empty_like(jj)
-        zero = jj == 0
-        out[zero] = math.exp(-lam)
-        xs = jj[~zero]
-        out[~zero] = _saddle_pmf(lam, xs, -_stirlerr(xs), 0.5 * np.log(2.0 * math.pi * xs))
+    # a zero rate needs no case of its own (see `poisson_pmf_windows`)
+    out = np.empty_like(jj)
+    zero = jj == 0
+    out[zero] = math.exp(-lam)
+    xs = jj[~zero]
+    out[~zero] = _saddle_pmf(lam, xs, -_stirlerr(xs), 0.5 * np.log(2.0 * math.pi * xs))
     return float(out[0]) if np.isscalar(j) else out.reshape(np.shape(j))
 
 

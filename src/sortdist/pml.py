@@ -52,17 +52,18 @@ __all__ = [
 ]
 
 PML_K_CAP = 5
-# The grid has one row per decreasing composition of the resolution into at
-# most k_max parts, about r^4 rows at k_max = 5: 7,166 at 60 and 91,606 at 120.
-PML_RESOLUTION_CAP = 120
+# The start grid of `brute_force_pml`: one row per decreasing composition of
+# 60 into at most k_max parts, 7,166 rows at k_max = 5.
+PML_GRID_RESOLUTION = 60
+ROUNDING_A = 2.0  # the paper's A: rounding floor 1/(2 n^A), cap n^-A, band 3 n^(-A/2)
 
 
 @dataclass(frozen=True)
 class QuantGrid:
-    """Geometric probability grid c_0 = 0, c_i = (1+n^-r)^(i-1) / (2 n^A)."""
+    """Geometric probability grid c_0 = 0, c_i = (1+n^-r)^(i-1) / (2 n^A),
+    A = ROUNDING_A, so its floor is the one `min_prob_round` lifts masses to."""
 
     n: int
-    A: float
     r: float
     levels: np.ndarray
 
@@ -71,19 +72,17 @@ class QuantGrid:
         return float(self.levels[1])
 
     @staticmethod
-    def build(n: int, A: float = 2.0, r: float = 0.5) -> "QuantGrid":
+    def build(n: int, r: float = 0.5) -> "QuantGrid":
         if not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"n must be a positive integer, got {n!r}")
-        if A < 2:
-            raise DomainError("A must be at least 2")
         if not 0 < r <= 0.5:
             raise DomainError("r must lie in (0, 1/2]")
-        base = 1.0 / (2.0 * n**A)
+        base = 1.0 / (2.0 * n**ROUNDING_A)
         ratio = 1.0 + n**-r
         levels = [0.0, base]
         while levels[-1] * ratio <= 1.0:
             levels.append(levels[-1] * ratio)
-        return QuantGrid(n=n, A=A, r=r, levels=np.asarray(levels))
+        return QuantGrid(n=n, r=r, levels=np.asarray(levels))
 
 
 def quantize_to_grid(p: DiscreteDistribution, grid: QuantGrid) -> np.ndarray:
@@ -169,9 +168,6 @@ def is_close(p, p_prime, alpha: float, beta: float) -> bool:
     return True
 
 
-ROUNDING_A = 2.0  # the paper's A: rounding floor 1/(2 n^A), cap n^-A, band 3 n^(-A/2)
-
-
 def min_prob_round(p: DiscreteDistribution, phi: Profile) -> DiscreteDistribution:
     """Raise tiny positive masses to the grid floor without losing likelihood.
 
@@ -219,55 +215,49 @@ def min_prob_round(p: DiscreteDistribution, phi: Profile) -> DiscreteDistributio
 
 
 @functools.cache
-def _sorted_grid_rows(resolution: int, k_max: int) -> np.ndarray:
-    """All decreasing compositions of `resolution` into at most k_max parts,
-    zero-padded to k_max and divided by `resolution`; built once per pair
-    and read-only."""
-    rows = [
-        parts + (0,) * (k_max - len(parts))
-        for parts in _partitions(resolution, resolution, k_max)
-    ]
-    grid = np.asarray(rows, dtype=float) / resolution
+def _sorted_grid_rows(k_max: int) -> np.ndarray:
+    """All decreasing compositions of PML_GRID_RESOLUTION into at most k_max
+    parts, zero-padded to k_max and divided by PML_GRID_RESOLUTION; built
+    once per k_max and read-only."""
+    r = PML_GRID_RESOLUTION
+    rows = [parts + (0,) * (k_max - len(parts)) for parts in _partitions(r, r, k_max)]
+    grid = np.asarray(rows, dtype=float) / r
     grid.flags.writeable = False
     return grid
 
 
-def check_brute_force_caps(n: int, k_max: int, grid_resolution: int) -> None:
+def check_brute_force_caps(n: int, k_max: int) -> None:
     """Reject a `brute_force_pml` call by its sizes alone, so that a caller
     holding only the n of a profile can check it before building the profile:
     past the search's own caps, or where the desk of n's profiles with at
     most k_max parts is past `check_desk_size`."""
-    if k_max < 1 or grid_resolution < 1:
-        raise DomainError("k_max and grid_resolution must be at least 1")
-    if n > EXACT_SCALE_N or k_max > PML_K_CAP or grid_resolution > PML_RESOLUTION_CAP:
-        raise ResourceLimitError(
-            f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}, "
-            f"grid_resolution <= {PML_RESOLUTION_CAP}"
-        )
+    if k_max < 1:
+        raise DomainError("k_max must be at least 1")
+    if n > EXACT_SCALE_N or k_max > PML_K_CAP:
+        raise ResourceLimitError(f"brute-force search capped at n <= {EXACT_SCALE_N}, k_max <= {PML_K_CAP}")
     check_desk_size("brute-force search", n, k_max)
 
 
-def brute_force_pml(
-    phi: Profile, k_max: int = PML_K_CAP, grid_resolution: int = 60
-) -> tuple[DiscreteDistribution, float]:
+def brute_force_pml(phi: Profile, k_max: int = PML_K_CAP) -> tuple[DiscreteDistribution, float]:
     """Grid-exhaustive maximizer of the profile likelihood, then refined.
 
     The refinement is a pair ascent from the best grid row: each sweep
     moves the mass min(step, p_j) from j to i for the pair (i, j) that
     raises the likelihood most, and halves the step when none does, from
-    1/grid_resolution down to the last step of at least 1e-6.  So no such
-    pair move of that last step raises the likelihood of the returned
+    1/PML_GRID_RESOLUTION down to the last step of at least 1e-6.  So no
+    such pair move of that last step raises the likelihood of the returned
     masses by more than 1e-12 relative.
 
     The returned likelihood is that of the returned (normalized) masses,
     capped at 1, hence a certified lower bound on the untruncated maximum;
     the grid optimum is exact within the grid class of k_max-support
-    distributions at the given resolution.  A profile with more distinct
-    symbols than k_max has likelihood 0 under every such distribution; it
-    gets the grid's first row, the point mass, with likelihood 0.
+    distributions at resolution PML_GRID_RESOLUTION.  A profile with more
+    distinct symbols than k_max has likelihood 0 under every such
+    distribution; it gets the grid's first row, the point mass, with
+    likelihood 0.
     """
-    check_brute_force_caps(phi.n, k_max, grid_resolution)
-    rows = _sorted_grid_rows(grid_resolution, k_max)
+    check_brute_force_caps(phi.n, k_max)
+    rows = _sorted_grid_rows(k_max)
     if phi.distinct_symbols > k_max:
         # every row and every candidate scores 0, so the ascent cannot move
         return DiscreteDistribution(rows[0].copy()), 0.0
@@ -285,7 +275,7 @@ def brute_force_pml(
     # takes the largest gain; a sweep without one halves the step.  k_max = 1
     # has no pairs.
     src, dst = np.nonzero(~np.eye(k_max, dtype=bool))
-    step = 1.0 / grid_resolution
+    step = 1.0 / PML_GRID_RESOLUTION
     while src.size and step >= 1e-6:
         t = np.minimum(step, masses[dst])
         cands = np.repeat(masses[None, :], src.size, axis=0)

@@ -16,7 +16,7 @@ from sortdist.core import (
     DiscreteDistribution,
     Histogram,
     ProfileBatch,
-    enumerate_profiles,
+    desk_profiles,
     measure_of,
     poisson_pmf,
     profile_of_histogram,
@@ -251,7 +251,7 @@ def test_c07_covering_inequalities():
         grid = QuantGrid.build(n)
         q_raw = quantize_to_grid(p, grid)
         q = DiscreteDistribution(q_raw / q_raw.sum())
-        profiles = enumerate_profiles(n)
+        profiles = desk_profiles(n, n)
         probs_p = np.array([profile_probability(p, f) for f in profiles])
         probs_q = np.array([profile_probability(q, f) for f in profiles])
         power = 1.0 / (1.0 - c0 * n**-s)
@@ -299,7 +299,7 @@ def test_c09_pml_defining_property_and_rounding():
     t0 = time.perf_counter()
     worst_ratio = 0.0
     for n in (4, 5, 6):
-        for phi in enumerate_profiles(n):
+        for phi in desk_profiles(n, n):
             _, like = brute_force_pml(phi, k_max=5)
             rows = rng.dirichlet(np.ones(5), size=1000)
             probs = profile_probability_many(rows, ProfileBatch([phi], 5))[0]

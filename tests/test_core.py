@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from sortdist.core import (
     binomial_pmf,
     count_profiles,
     desk_profiles,
-    enumerate_profiles,
     histogram_of_samples,
     measure_of,
     poisson_interval_prob,
@@ -119,35 +119,39 @@ def _partition_count(n):
 
 
 class TestEnumerateProfiles:
+    """Every profile of n, `desk_profiles(n, n)`."""
+
     def test_n1(self):
-        profs = enumerate_profiles(1)
+        profs = desk_profiles(1, 1)
         assert len(profs) == 1 and profs[0].phi.tolist() == [1]
 
     @pytest.mark.parametrize("n,count", [(4, 5), (10, 42)])
     def test_known_counts(self, n, count):
-        assert len(enumerate_profiles(n)) == count
+        assert len(desk_profiles(n, n)) == count
 
     def test_counts_match_partition_numbers(self):
         for n in range(1, 16):
-            assert len(enumerate_profiles(n)) == _partition_count(n)
+            assert len(desk_profiles(n, n)) == _partition_count(n)
 
     def test_cardinality_bound(self):
         for n in range(1, 21):
-            assert len(enumerate_profiles(n)) <= math.exp(3 * math.sqrt(n))
+            assert len(desk_profiles(n, n)) <= math.exp(3 * math.sqrt(n))
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_profiles(21)
+        # p(22) = 1,002 profiles fit under the desk cap, p(23) = 1,255 do not
+        assert len(desk_profiles(22, 22)) == _partition_count(22) <= DESK_PROFILE_CAP
+        with pytest.raises(ResourceLimitError, match=f"capped at {DESK_PROFILE_CAP} profiles"):
+            desk_profiles(23, 23)
 
     def test_all_distinct(self):
-        profs = enumerate_profiles(12)
+        profs = desk_profiles(12, 12)
         keys = {tuple(p.phi.tolist()) for p in profs}
         assert len(keys) == len(profs)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_partitions_in_decreasing_lexicographic_order(self, n):
         # competitive.json lists its PML rows in this order
-        parts = [phi.parts() for phi in enumerate_profiles(n)]
+        parts = [phi.parts() for phi in desk_profiles(n, n)]
         assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
         assert all(a > b for a, b in zip(parts, parts[1:]))
 
@@ -188,9 +192,9 @@ class TestDeskProfiles:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_the_enumeration_filtered_in_its_order(self, n):
-        # the desk's sums over profiles add in enumerate_profiles order
+        # the desk's sums over profiles add in the order of all of n's profiles
         for k in range(1, n + 1):
-            want = [phi.parts() for phi in enumerate_profiles(n) if phi.distinct_symbols <= k]
+            want = [phi.parts() for phi in desk_profiles(n, n) if phi.distinct_symbols <= k]
             assert [phi.parts() for phi in desk_profiles(n, k)] == want
 
     def test_profiles_left_out_have_probability_exactly_zero(self):
@@ -199,7 +203,7 @@ class TestDeskProfiles:
             for k in range(1, min(n, 6)):
                 rows = rng.dirichlet(np.ones(k), size=8)
                 kept = {phi.parts() for phi in desk_profiles(n, k)}
-                left = [phi for phi in enumerate_profiles(n) if phi.parts() not in kept]
+                left = [phi for phi in desk_profiles(n, n) if phi.parts() not in kept]
                 assert left and all(phi.distinct_symbols > k for phi in left)
                 for phi in left:
                     assert np.all(dense_profile_probability_many(rows, phi) == 0.0)
@@ -307,7 +311,7 @@ class TestProfileProbability:
         rng = np.random.default_rng(3)
         for n, k in [(3, 2), (4, 3), (5, 2), (5, 3)]:
             p = random_dist(rng, k)
-            for phi in enumerate_profiles(n):
+            for phi in desk_profiles(n, n):
                 want = _profile_probability_by_sequences(p, phi)
                 got = profile_probability(p, phi)
                 assert got == pytest.approx(want, abs=1e-12)
@@ -316,7 +320,7 @@ class TestProfileProbability:
         rng = np.random.default_rng(4)
         for n, k in [(6, 3), (8, 4), (12, 6)]:
             p = random_dist(rng, k)
-            total = sum(profile_probability(p, phi) for phi in enumerate_profiles(n))
+            total = sum(profile_probability(p, phi) for phi in desk_profiles(n, n))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_permutation_and_padding_invariance(self):
@@ -324,7 +328,7 @@ class TestProfileProbability:
         p = random_dist(rng, 4)
         perm = DiscreteDistribution(p.masses[rng.permutation(4)])
         padded = p.padded(6)
-        for phi in enumerate_profiles(5):
+        for phi in desk_profiles(5, 5):
             base = profile_probability(p, phi)
             assert profile_probability(perm, phi) == pytest.approx(base, rel=1e-12, abs=1e-15)
             assert profile_probability(padded, phi) == pytest.approx(base, rel=1e-12, abs=1e-15)
@@ -337,7 +341,7 @@ class TestProfileProbability:
             want = dense_monomial_symmetric(rows, parts).tobytes()
             for perm in set(itertools.permutations(parts)):
                 assert dense_monomial_symmetric(rows, perm).tobytes() == want
-        profiles = enumerate_profiles(6)
+        profiles = desk_profiles(6, 6)
         alone = [profile_probability_many(rows, ProfileBatch([phi], 5))[0] for phi in profiles]
         positions = list(range(len(profiles)))
         for order in (positions, positions[::-1], positions[1::2] + positions[::2]):
@@ -350,7 +354,7 @@ class TestProfileProbability:
         for k in (1, 3, 5, 8):
             rows = rng.dirichlet(np.ones(k), size=7)
             for n in range(1, 13):
-                profiles = enumerate_profiles(n)
+                profiles = desk_profiles(n, n)
                 probs = profile_probability_many(rows, ProfileBatch(profiles, k))
                 for phi, got in zip(profiles, probs):
                     parts = phi.parts()
@@ -367,7 +371,7 @@ class TestProfileProbability:
         rows = rng.dirichlet(np.ones(k), size=nrows)
         rows[0] = 1.0 / k
         for n in range(1, 13):
-            profiles = enumerate_profiles(n)
+            profiles = desk_profiles(n, n)
             got = profile_probability_many(rows, ProfileBatch(profiles, k))
             assert got.shape == (len(profiles), nrows)
             for phi, row in zip(profiles, got):
@@ -381,7 +385,7 @@ class TestProfileProbability:
         for k in (3, 4, 5):
             rows = np.vstack([np.full(k, 1.0 / k), rng.dirichlet(np.ones(k), size=22)])
             for n in (4, 8, 12):
-                batch = ProfileBatch(enumerate_profiles(n), k)
+                batch = ProfileBatch(desk_profiles(n, n), k)
                 monkeypatch.setattr(sortdist.core, "_DP_DOUBLES", 1 << 62)
                 whole = profile_probability_many(rows, batch)
                 monkeypatch.setattr(sortdist.core, "_DP_DOUBLES", budget)
@@ -395,7 +399,8 @@ class TestProfileProbability:
         # and to 0.11111111111111109 by [1, 2]
         assert (np.full((1, 1), 1 / 3) ** np.asarray([2])[:, None, None]).item() == 0.1111111111111111
         assert (np.full((1, 1), 1 / 3) ** np.asarray([1, 2])[:, None, None])[1].item() == 0.11111111111111109
-        profiles = enumerate_profiles(sum(parts))
+        n = sum(parts)
+        profiles = desk_profiles(n, n)
         (at,) = [i for i, g in enumerate(profiles) if g.parts() == parts]
         phi = profiles[at]
         for k in (3, 4, 5):
@@ -408,7 +413,7 @@ class TestProfileProbability:
 
     def test_more_parts_than_k_give_exactly_zero(self):
         rows = np.random.default_rng(8).dirichlet(np.ones(3), size=5)
-        profiles = enumerate_profiles(7)
+        profiles = desk_profiles(7, 7)
         batch = ProfileBatch(profiles, 3)
         got = profile_probability_many(rows, batch)
         for phi, row in zip(profiles, got):
@@ -421,7 +426,7 @@ class TestProfileProbability:
 
     def test_rows_must_have_the_batch_k_masses(self):
         with pytest.raises(DomainError):
-            profile_probability_many(np.full((2, 4), 0.25), ProfileBatch(enumerate_profiles(4), 3))
+            profile_probability_many(np.full((2, 4), 0.25), ProfileBatch(desk_profiles(4, 4), 3))
 
     def test_scale_cap(self):
         # n! leaves the double range past EXACT_SCALE_N; a batch holds at
@@ -441,10 +446,10 @@ class TestProfileProbability:
         # k is not capped
         rng = np.random.default_rng(9)
         p = random_dist(rng, 12)
-        total = sum(profile_probability(p, phi) for phi in enumerate_profiles(6))
+        total = sum(profile_probability(p, phi) for phi in desk_profiles(6, 6))
         assert total == pytest.approx(1.0, abs=1e-12)
         p = random_dist(rng, 10)
-        for phi in enumerate_profiles(4):
+        for phi in desk_profiles(4, 4):
             want = _profile_probability_by_sequences(p, phi)
             assert profile_probability(p, phi) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -504,6 +509,11 @@ class TestPmfKernels:
     def test_poisson_point_values(self):
         assert poisson_pmf(0.0, 0) == 1.0
         assert poisson_pmf(1.0, 1) == pytest.approx(math.exp(-1), rel=1e-14)
+        # a zero rate takes the saddle point like any other: a deviance of
+        # +inf above count 0, hence a pmf of exactly 0.0 there, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert poisson_pmf(0.0, [0, 1, 2.5, 40]).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_binomial_point_value(self):
         assert binomial_pmf(4, 0.5, 2) == pytest.approx(0.375, rel=1e-14)

@@ -45,7 +45,6 @@ from sortdist import pml as pml_module
 from sortdist.intervals import build_scheme
 from sortdist.lmm import estimate_sorted_distribution
 from sortdist.moments import degree_for
-from sortdist.pml import PML_RESOLUTION_CAP
 from sortdist.poisson_approx import build_poisson_approximation, evaluate, naive_coefficients, verify_bounds
 
 
@@ -686,8 +685,10 @@ class TestCLIDeterminism:
             ({}, ["pml", "--profile", '{"n": 1.9, "phi": {"1": 1.2}}'], "must be JSON integers"),
             ({}, ["pml", "--profile", '{"n": 2, "phi": {"1": 2.0}}'], "must be JSON integers"),
             ({}, ["pml", "--profile", '{"n": true, "phi": {"1": 1}}'], "must be JSON integers"),
-            ({}, ["pml", "--profile", "2,1", "--kmax", "0"], "k_max and grid_resolution"),
-            ({}, ["pml", "--profile", "2,1", "--resolution", "0"], "k_max and grid_resolution"),
+            ({}, ["pml", "--profile", '{"n": 5, "phi": {"1": 99999999999999999999999}}'], "outside 0..5"),
+            ({}, ["pml", "--profile", '{"n": 5, "phi": {"1": -99999999999999999999999}}'], "outside 0..5"),
+            ({}, ["pml", "--profile", "2,1", "--kmax", "0"], "k_max must be at least 1"),
+            ({}, ["pml", "--profile", "2,1", "--resolution", "0"], "unrecognized arguments: --resolution"),
             ({}, ["benchmark", "--n", "1024", "--k", "20", "--trials", "1", "--delta", "0.5"],
              "unrecognized arguments: --delta"),
             ({}, ["competitive", "--n", "5", "--k", "3", "--seed", "3"], "unrecognized arguments: --seed"),
@@ -704,7 +705,8 @@ class TestCLIDeterminism:
         ids=["zipf:abc", "file:missing", "file:nan", "file:k-mismatch", "histogram-1.5", "histogram-missing",
              "histogram-above-int64", "histogram-int64-wrap", "estimate-int64-wrap", "pml-above-cap", "abs@x",
              "n-list-10x", "profile-a,b", "profile-0,0", "profile-1,-1", "profile-index-3", "profile-no-phi",
-             "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed",
+             "profile-n=0", "profile-n=1.9", "profile-phi=2.0", "profile-n=true",
+             "profile-phi=1e23", "profile-phi=-1e23", "kmax-0", "resolution-0", "benchmark-delta", "competitive-seed",
              "estimate-c1=nan", "approx-c2=nan", "competitive-c2=inf", "competitive-eps=nan",
              "benchmark-eps=nan", "approx-eps=nan", "abs@nan", "approx-delta=-2", "approx-delta=nan"],
     )
@@ -741,19 +743,6 @@ class TestCLIDeterminism:
         like = payload["certified_likelihood_lower_bound"]
         assert like <= 1.0 and like == pytest.approx(1.0, rel=1e-15)
         assert sum(payload["pml_masses"]) == pytest.approx(1.0, rel=1e-15)
-
-    @pytest.mark.parametrize("resolution", [PML_RESOLUTION_CAP + 1, 1000])
-    def test_pml_resolution_above_the_cap_builds_no_grid(self, tmp_path, monkeypatch, capsys, resolution):
-        def no_grid(resolution, k_max):
-            raise AssertionError("the grid was built")
-
-        monkeypatch.setattr(pml_module, "_sorted_grid_rows", no_grid)
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["pml", "--profile", "2,0,1", "--resolution", str(resolution), "--out", "out.json"])
-        assert exc.value.code == 2
-        assert f"grid_resolution <= {PML_RESOLUTION_CAP}" in capsys.readouterr().err
-        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize(
         "form, value",

@@ -12,7 +12,6 @@ from sortdist.core import (
     EXACT_SCALE_N,
     Profile,
     desk_profiles,
-    enumerate_profiles,
     ProfileBatch,
     measure_of,
     poisson_pmf,
@@ -24,6 +23,7 @@ from sortdist import pml as pml_module
 from test_core import dense_profile_probability_many
 from sortdist.errors import DomainError, ResourceLimitError
 from sortdist.pml import (
+    PML_GRID_RESOLUTION,
     QuantGrid,
     _sorted_grid_rows,
     brute_force_pml,
@@ -56,7 +56,7 @@ def random_m0(rng, k, n, A=2.0):
 
 class TestQuantGrid:
     def test_levels_geometry(self):
-        g = QuantGrid.build(8, A=2.0, r=0.5)
+        g = QuantGrid.build(8, r=0.5)
         assert g.levels[0] == 0.0
         assert g.levels[1] == pytest.approx(1.0 / 128.0, rel=1e-15)
         ratios = g.levels[2:] / g.levels[1:-1]
@@ -256,48 +256,46 @@ class TestBruteForcePML:
     def test_defining_property_against_random_draws(self):
         rng = np.random.default_rng(4)
         for n in (4, 5, 6):
-            for phi in enumerate_profiles(n):
-                _, like = brute_force_pml(phi, k_max=4, grid_resolution=24)
+            for phi in desk_profiles(n, n):
+                _, like = brute_force_pml(phi, k_max=4)
                 rows = rng.dirichlet(np.ones(4), size=300)
                 probs = one_profile_probabilities(rows, phi)
                 assert probs.max() <= like * 1.02 + 1e-12
 
     def test_scale_cap(self):
         with pytest.raises(ResourceLimitError):
-            brute_force_pml(enumerate_profiles(5)[0], k_max=7)
+            brute_force_pml(desk_profiles(5, 5)[0], k_max=7)
         # past the n of the double range, and past the desk cap: 1,115
         # profiles of 35 with at most 5 parts
         with pytest.raises(ResourceLimitError, match=f"n <= {EXACT_SCALE_N}"):
             brute_force_pml(Profile.from_sparse(EXACT_SCALE_N + 1, {EXACT_SCALE_N + 1: 1}), k_max=1)
         with pytest.raises(ResourceLimitError, match="1115 with at most k = 5 parts"):
             brute_force_pml(Profile.from_sparse(35, {35: 1}), k_max=5)
-        with pytest.raises(ResourceLimitError, match="grid_resolution"):
-            brute_force_pml(enumerate_profiles(5)[0], grid_resolution=pml_module.PML_RESOLUTION_CAP + 1)
 
     @pytest.mark.parametrize("k_max", [2, 3, 4, 5])
     def test_likelihood_is_that_of_the_returned_masses(self, k_max):
         # the search scores float masses whose sum can be off by an ulp;
         # the profile of one draw once reported 1.0000000000000002
         for n in range(1, 9):
-            for phi in enumerate_profiles(n):
+            for phi in desk_profiles(n, n):
                 p, like = brute_force_pml(phi, k_max=k_max)
                 assert abs(float(p.masses.sum()) - 1.0) <= 1e-15
                 assert like <= 1.0
                 assert like == pytest.approx(profile_probability(p, phi), rel=1e-15, abs=0.0)
 
 
-def one_pair_at_a_time_pml(phi, k_max=5, grid_resolution=60):
+def one_pair_at_a_time_pml(phi, k_max=5):
     """A first-improvement pair ascent from brute_force_pml's grid start: it
     scores one candidate per call, takes the first gain of each sweep and
     stops after 200 pair visits.  The baseline the likelihood of
     brute_force_pml may not fall below."""
     ascent_steps = 200
-    rows = pml_module._sorted_grid_rows(grid_resolution, k_max)
+    rows = _sorted_grid_rows(k_max)
     probs = one_profile_probabilities(rows, phi)
     best = int(np.argmax(probs >= probs.max() * (1 - 1e-12)))
     masses = rows[best].copy()
     best_prob = float(probs[best])
-    step = 1.0 / grid_resolution
+    step = 1.0 / PML_GRID_RESOLUTION
     steps_done = 0
     while steps_done < ascent_steps:
         improved = False
@@ -333,7 +331,7 @@ def test_batched_ascent_equals_one_pair_at_a_time(k_max):
     # the best-improvement ascent without a budget never ends below the
     # budgeted first-improvement baseline (rounding aside)
     for n in range(1, 9):
-        for phi in enumerate_profiles(n):
+        for phi in desk_profiles(n, n):
             _, like = brute_force_pml(phi, k_max=k_max)
             _, want = one_pair_at_a_time_pml(phi, k_max=k_max)
             assert like >= want * (1 - 1e-15), (phi.parts(), k_max)
@@ -348,7 +346,7 @@ def test_ascent_passes_the_baseline_where_its_budget_ran_out():
 def test_k_max_one_returns_the_point_mass():
     # there are no pairs to move mass between
     for n in range(1, 9):
-        for phi in enumerate_profiles(n):
+        for phi in desk_profiles(n, n):
             p, like = brute_force_pml(phi, k_max=1)
             assert p.masses.tolist() == [1.0]
             assert like == (1.0 if phi.distinct_symbols == 1 else 0.0)
@@ -362,7 +360,7 @@ def test_no_pair_move_of_the_last_step_gains(k_max):
     pairs = [(i, j) for i in range(k_max) for j in range(k_max) if i != j]
     checked = 0
     for n in range(1, 9):
-        for phi in enumerate_profiles(n):
+        for phi in desk_profiles(n, n):
             p, like = brute_force_pml(phi, k_max=k_max)
             if like == 0.0:
                 continue
@@ -392,7 +390,7 @@ def test_profile_probability_many_equals_the_uncached_coefficient_form():
     # single-profile DP
     rng = np.random.default_rng(12)
     for n in range(1, 13):
-        for phi in enumerate_profiles(n):
+        for phi in desk_profiles(n, n):
             k = int(rng.integers(1, 9))
             rows = rng.dirichlet(np.ones(k), size=5)
             for _ in range(2):  # the second batch reads the cache
@@ -418,13 +416,13 @@ def unpruned_grid_rows(resolution, k_max):
     return np.asarray(rows, dtype=float) / resolution
 
 
-@pytest.mark.parametrize("resolution,k_max", [(60, 4), (60, 5), (24, 4), (60, 2), (60, 1), (1, 5), (7, 3)])
+@pytest.mark.parametrize("resolution,k_max", [(PML_GRID_RESOLUTION, k_max) for k_max in (4, 5, 3, 2, 1)])
 def test_grid_rows_equal_the_unpruned_recursion(resolution, k_max):
-    rows = _sorted_grid_rows(resolution, k_max)
+    rows = _sorted_grid_rows(k_max)
     want = unpruned_grid_rows(resolution, k_max)
     assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
-    # built once per pair, and shared read-only
-    assert _sorted_grid_rows(resolution, k_max) is rows
+    # built once per k_max, and shared read-only
+    assert _sorted_grid_rows(k_max) is rows
     assert not rows.flags.writeable
 
 
@@ -464,7 +462,7 @@ class TestGoodSet:
         p = random_m0(rng, 3, 6)
         est = empirical_estimator_factory(3)
         good, mass = good_set(est, p, 0.0, self.loss, 6)
-        assert 0.0 <= mass <= 1.0 and len(good) <= len(enumerate_profiles(6))
+        assert 0.0 <= mass <= 1.0 and len(good) <= len(desk_profiles(6, 6))
 
     def test_implication_never_falsified(self):
         rng = np.random.default_rng(7)
@@ -541,7 +539,7 @@ def exhaustive_covering_constant(p, grid, r, s, c0=0.5):
     n = grid.n
     q_raw = quantize_to_grid(p, grid)
     q = DiscreteDistribution(q_raw / q_raw.sum())
-    batch = ProfileBatch(enumerate_profiles(n), p.k)
+    batch = ProfileBatch(desk_profiles(n, n), p.k)
     probs_p = profile_probability_many(p.masses[None, :], batch)[:, 0]
     probs_q = profile_probability_many(q.masses[None, :], batch)[:, 0]
     count = len(batch)
@@ -597,7 +595,7 @@ class TestCoveringConstants:
             assert np.isfinite(c) and c >= 0.0
             q_raw = quantize_to_grid(p, grid)
             q = DiscreteDistribution(q_raw / q_raw.sum())
-            batch = ProfileBatch(enumerate_profiles(n), k)
+            batch = ProfileBatch(desk_profiles(n, n), k)
             probs = profile_probability_many(np.stack([p.masses, q.masses]), batch)
             # the profiles with more than k distinct symbols have P = Q = 0
             probs = probs[probs.any(axis=1)]
@@ -644,7 +642,7 @@ class TestCoveringConstants:
         c = covering_constants(p, grid, r=0.5, s=0.125)
         q_raw = quantize_to_grid(p, grid)
         q = DiscreteDistribution(q_raw / q_raw.sum())
-        profiles = enumerate_profiles(n)
+        profiles = desk_profiles(n, n)
         probs_p = np.array([profile_probability(p, f) for f in profiles])
         probs_q = np.array([profile_probability(q, f) for f in profiles])
         power = 1.0 / (1.0 - 0.5 * n**-0.125)

@@ -56,12 +56,10 @@ def exponent(direct: float, delta: float) -> float | None:
 
 
 def drop_desk(harness) -> None:
-    """Drop the kept desk table: `_desk_table`'s cache, or on older trees
-    the `_last_desk` global (harmless on a tree that keeps none)."""
+    """Drop the kept desk table, `_desk_table`'s cache (a tree that keeps
+    none has none to drop)."""
     if hasattr(harness, "_desk_table"):
         harness._desk_table.cache_clear()
-    else:
-        harness._last_desk = None
 
 
 def check(harness, n: int, family: str, eps: float) -> dict:

@@ -3,7 +3,7 @@
     python3 tools/surface.py --src src
 
 Reads the `sortdist` package under the `--src` directory, so two source
-trees can be compared, and prints one JSON object with four counts:
+trees can be compared, and prints one JSON object with five counts:
 
 - `src_lines`: the lines of each `sortdist/*.py` file and their total;
 - `cli_options`: the arguments of each subcommand of `build_parser()`,
@@ -14,7 +14,11 @@ trees can be compared, and prints one JSON object with four counts:
 - `dataclass_fields`: the annotated fields of every `@dataclass` whose name
   has no leading underscore (its init fields, since the package declares no
   `ClassVar` or `init=False` field), by qualified name, and their total.
-  Each field is a value that a caller sets, like a parameter.
+  Each field is a value that a caller sets, like a parameter;
+- `public_names`: the length of the `__all__` of each module and of the
+  package (`__init__.py`), and the number of distinct names over all of
+  them, so a public name removed from a module and from the package counts
+  once in the total.
 
 Equal surfaces are one `diff` of the two printed objects.
 """
@@ -86,6 +90,20 @@ def dataclass_fields(pkg: Path) -> dict:
     return {"classes": counts, "total": sum(counts.values())}
 
 
+def public_names(pkg: Path) -> dict:
+    names: dict[str, list[str]] = {}
+    for f in sorted(pkg.glob("*.py")):
+        for stmt in ast.parse(f.read_text()).body:
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                names[f.stem] = ast.literal_eval(stmt.value)
+    package = names.pop("__init__", [])
+    return {
+        "modules": {name: len(v) for name, v in names.items()},
+        "package": len(package),
+        "total": len(set(package).union(*names.values())),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True, help="directory that holds sortdist/")
@@ -96,6 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         "cli_options": cli_options(args.src),
         "defaulted_params": defaulted_params(pkg),
         "dataclass_fields": dataclass_fields(pkg),
+        "public_names": public_names(pkg),
     }
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0

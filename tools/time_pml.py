@@ -16,12 +16,12 @@ times two source trees.  Two stages run in one process:
   there the two rows time the same work.
 
 Then, untimed, the `brute_force_pml` likelihood of every profile with
-n <= 12 at grid resolution 60, and n <= 6 at resolutions 24 and 7, for each
-k_max in 1..5: `--save` writes them to an .npz file, and `--reference`
-reads such a file from another tree and counts, per (resolution, k_max),
-the profiles whose likelihood is lower than, equal to and higher than the
-reference's, with the smallest and largest ratio to it over the profiles
-where the reference is positive.
+n <= 12, for each k_max in 1..5: `--save` writes them to an .npz file under
+the keys `r60_k1`..`r60_k5` (60 is the grid resolution), and `--reference`
+reads such a file from another tree and counts, per k_max, the profiles
+whose likelihood is lower than, equal to and higher than the reference's,
+with the smallest and largest ratio to it over the profiles where the
+reference is positive.
 Prints one JSON object: per row the times and their median, and the
 SHA-256 of the output bytes (the masses and the likelihood of every profile,
 or the report's JSON), so two trees can be checked for byte-equal output;
@@ -40,8 +40,8 @@ import time
 from pathlib import Path
 
 FAMILIES = ("uniform", "two-level", "zipf:1")
-# (grid resolution, largest n) of the likelihood comparison
-LIKELIHOOD_GRIDS = ((60, 12), (24, 6), (7, 6))
+# the largest n of the likelihood comparison
+LIKELIHOOD_N_MAX = 12
 
 
 def peak_rss_mb() -> float:
@@ -49,12 +49,10 @@ def peak_rss_mb() -> float:
 
 
 def drop_desk(harness) -> None:
-    """Drop the kept desk table: `_desk_table`'s cache, or on older trees
-    the `_last_desk` global (harmless on a tree that keeps none)."""
+    """Drop the kept desk table, `_desk_table`'s cache (a tree that keeps
+    none has none to drop)."""
     if hasattr(harness, "_desk_table"):
         harness._desk_table.cache_clear()
-    else:
-        harness._last_desk = None
 
 
 def timed(fn, repeats: int) -> tuple[list[float], object]:
@@ -78,11 +76,11 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     from sortdist import harness
-    from sortdist.core import enumerate_profiles
+    from sortdist.core import desk_profiles
     from sortdist.harness import ExperimentConfig, run_competitive_check
     from sortdist.pml import brute_force_pml
 
-    profiles = enumerate_profiles(8)
+    profiles = desk_profiles(8, 8)
     pml_rows = []
     for k_max in range(2, 6):
         times, results = timed(lambda: [brute_force_pml(phi, k_max=k_max) for phi in profiles], args.repeats)
@@ -119,27 +117,24 @@ def main(argv: list[str] | None = None) -> int:
 
     reference = np.load(args.reference) if args.reference else None
     likelihood_rows, values = [], {}
-    for resolution, n_max in LIKELIHOOD_GRIDS:
-        grid_profiles = [phi for n in range(1, n_max + 1) for phi in enumerate_profiles(n)]
-        for k_max in range(1, 6):
-            key = f"r{resolution}_k{k_max}"
-            got = np.asarray([
-                brute_force_pml(phi, k_max=k_max, grid_resolution=resolution)[1] for phi in grid_profiles
-            ])
-            values[key] = got
-            row = {
-                "grid_resolution": resolution, "k_max": k_max, "n_max": n_max,
-                "profiles": len(grid_profiles), "sha256": hashlib.sha256(got.tobytes()).hexdigest(),
-            }
-            if reference is not None:
-                want = reference[key]
-                ratio = got[want > 0] / want[want > 0]
-                row.update({
-                    "lower": int(np.sum(got < want)), "equal": int(np.sum(got == want)),
-                    "higher": int(np.sum(got > want)),
-                    "min_ratio": float(ratio.min()), "max_ratio": float(ratio.max()),
-                })
-            likelihood_rows.append(row)
+    all_profiles = [phi for n in range(1, LIKELIHOOD_N_MAX + 1) for phi in desk_profiles(n, n)]
+    for k_max in range(1, 6):
+        key = f"r60_k{k_max}"
+        got = np.asarray([brute_force_pml(phi, k_max=k_max)[1] for phi in all_profiles])
+        values[key] = got
+        row = {
+            "k_max": k_max, "n_max": LIKELIHOOD_N_MAX,
+            "profiles": len(all_profiles), "sha256": hashlib.sha256(got.tobytes()).hexdigest(),
+        }
+        if reference is not None:
+            want = reference[key]
+            ratio = got[want > 0] / want[want > 0]
+            row.update({
+                "lower": int(np.sum(got < want)), "equal": int(np.sum(got == want)),
+                "higher": int(np.sum(got > want)),
+                "min_ratio": float(ratio.min()), "max_ratio": float(ratio.max()),
+            })
+        likelihood_rows.append(row)
     if args.save:
         np.savez(args.save, **values)
 
