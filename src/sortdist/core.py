@@ -50,14 +50,20 @@ DESK_PROFILE_CAP = 1100
 _DP_DOUBLES = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Probability vector on [k]; masses nonnegative and summing to one."""
+    """Probability vector on [k]; masses nonnegative and summing to one.
+
+    The masses are a read-only copy of the input, so a distribution never
+    changes, and it hashes and compares by identity: what is derived from
+    one (the sampler's CDF rows) can be kept with it.
+    """
 
     masses: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
+        m = np.array(self.masses, dtype=float)
+        m.flags.writeable = False
         object.__setattr__(self, "masses", m)
         if m.ndim != 1 or m.size == 0:
             raise DomainError("masses must be a nonempty 1-D vector")
@@ -118,14 +124,21 @@ class Profile:
     phi: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.phi, dtype=np.int64)
+        try:
+            p = np.asarray(self.phi, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("a multiplicity beyond the int64 range") from None
         object.__setattr__(self, "phi", p)
         if p.ndim != 1 or p.size < 1:
             raise DomainError("a profile needs a 1-D phi with n >= 1")
-        if np.any(p < 0):
+        if p.min() < 0:
             raise DomainError("negative multiplicity")
         n = p.size
-        total = int(np.dot(np.arange(1, n + 1), p))
+        index = np.arange(1, n + 1)
+        # phi_i <= n // i keeps each term of the int64 dot at most n, so it cannot wrap
+        if (p > n // index).any():
+            raise DomainError(f"a multiplicity above n // i, for n = {n}")
+        total = int(np.dot(index, p))
         if total != n:
             raise DomainError(f"profile inconsistent: sum i*phi_i = {total} != n = {n}")
 
@@ -538,8 +551,8 @@ def _saddle_pmf(
 
 def poisson_pmf(lam: float, j) -> np.ndarray | float:
     """Poisson pmf via saddle-point evaluation; relative error ~1e-13 up to rates ~1e7."""
-    if lam < 0:
-        raise DomainError("rate must be >= 0")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"rate must be a finite number >= 0, not {lam!r}")
     jj = np.atleast_1d(np.asarray(j, dtype=float))
     if np.any(jj < 0):
         raise DomainError("count must be >= 0")
@@ -585,8 +598,8 @@ def poisson_pmf_windows(lams, lo, hi):
     lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     if lams.ndim != 1 or lo.shape != lams.shape or hi.shape != lams.shape:
         raise DomainError("rates and window bounds must be 1-D arrays of equal length")
-    if np.any(lams < 0):
-        raise DomainError("rate must be >= 0")
+    if not np.all((lams >= 0) & (lams < math.inf)):
+        raise DomainError("rate must be a finite number >= 0")
     if np.any(lo < 0):
         raise DomainError("count must be >= 0")
     counts = np.arange(max(int(hi.max(initial=0)), 0) + 1, dtype=float)
@@ -662,9 +675,11 @@ def binom_half_logpmf(j, s):
 
 def poisson_interval_prob(lam, lo: int, hi: int):
     """P(lo <= Poisson(lam) <= hi) over integers; vectorized in lam."""
-    if hi < lo:
-        return np.zeros_like(np.asarray(lam, dtype=float)) if not np.isscalar(lam) else 0.0
     lam_arr = np.asarray(lam, dtype=float)
+    if not np.all((lam_arr >= 0) & (lam_arr < math.inf)):
+        raise DomainError("rate must be a finite number >= 0")
+    if hi < lo:
+        return np.zeros_like(lam_arr) if not np.isscalar(lam) else 0.0
     out = gammaincc(hi + 1.0, lam_arr)
     if lo > 0:
         out = out - gammaincc(float(lo), lam_arr)

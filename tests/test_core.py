@@ -86,6 +86,18 @@ class TestHistogramProfile:
             with pytest.raises(DomainError, match="finite"):
                 DiscreteDistribution(masses)
 
+    def test_distribution_masses_are_a_read_only_copy(self):
+        given = np.array([0.25, 0.75])
+        p = DiscreteDistribution(given)
+        with pytest.raises(ValueError, match="read-only"):
+            p.masses[0] = 0.5
+        given[0] = 0.5
+        assert p.masses.tolist() == [0.25, 0.75]
+
+    def test_distribution_hashes_by_identity(self):
+        p, q = DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([0.5, 0.5])
+        assert p == p and p != q and len({p, q, p}) == 2
+
     def test_profile_of_histogram(self):
         assert profile_of_histogram(Histogram([2, 1])).phi.tolist() == [1, 1, 0]
         assert profile_of_histogram(Histogram([0, 4])).phi.tolist() == [0, 0, 0, 1]
@@ -102,6 +114,15 @@ class TestHistogramProfile:
     def test_empty_profile_rejected(self):
         with pytest.raises(DomainError):
             Profile(np.zeros(0, dtype=np.int64))
+
+    def test_profile_multiplicity_beyond_int64_rejected(self):
+        with pytest.raises(DomainError, match="int64"):
+            Profile([10**20])
+
+    def test_profile_multiplicity_that_wraps_the_total_rejected(self):
+        # 1 * 4 + 2 * (2**63 - 1) wraps to 2 in int64, which is n
+        with pytest.raises(DomainError, match="n // i"):
+            Profile([4, 2**63 - 1])
 
     def test_profile_sparse_roundtrip(self):
         p = profile_of_histogram(Histogram([2, 1, 1]))
@@ -536,6 +557,24 @@ class TestPmfKernels:
             poisson_pmf(1.0, -1)
         with pytest.raises(DomainError):
             binomial_pmf(3, 1.5, 0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, lam):
+        with pytest.raises(DomainError, match="finite"):
+            poisson_pmf(lam, [0, 1])
+        with pytest.raises(DomainError, match="finite"):
+            list(poisson_pmf_windows([1.0, lam], [0, 0], [1, 1]))
+        with pytest.raises(DomainError, match="finite"):
+            poisson_interval_prob(lam, 0, 0)
+        with pytest.raises(DomainError, match="finite"):
+            poisson_interval_prob(np.array([1.0, lam]), 0, 3)
+        # an empty interval still checks its rates
+        with pytest.raises(DomainError, match="finite"):
+            poisson_interval_prob(lam, 1, 0)
+
+    def test_negative_interval_rate_rejected(self):
+        with pytest.raises(DomainError):
+            poisson_interval_prob(np.array([2.0, -1.0]), 0, 3)
 
     @pytest.mark.parametrize("chunk", [None, 7, 1000, 300], ids=["default-chunk", "chunk-7", "chunk-1000", "chunk-300"])
     def test_poisson_windows_are_byte_equal_to_poisson_pmf(self, monkeypatch, chunk):

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,9 @@ from sortdist.harness import (
     trials_to_csv,
     wilson_interval,
 )
+from sortdist import sampling
 from sortdist.sampling import (
+    CdfRows,
     _poisson_quantile,
     empirical_measure,
     sample_iid,
@@ -46,6 +50,37 @@ from sortdist.intervals import build_scheme
 from sortdist.lmm import estimate_sorted_distribution
 from sortdist.moments import degree_for
 from sortdist.poisson_approx import build_poisson_approximation, evaluate, naive_coefficients, verify_bounds
+
+
+def table_inversion(p, n, gen):
+    """Reference sampler: one cumulative-pmf table per distinct small rate."""
+    lam, u, counts = n * p.masses, gen.random(p.k), np.zeros(p.k, dtype=np.int64)
+    for rate in np.unique(lam[(lam > 0) & (lam < 30)]):
+        table = np.cumsum(poisson_pmf(rate, np.arange(int(rate + 40 * math.sqrt(rate + 1) + 30) + 1)))
+        counts[lam == rate] = np.searchsorted(table, u[lam == rate], side="right")
+    counts[lam >= 30] = gen.poisson(lam[lam >= 30])
+    return counts
+
+
+def cdf_walk(u, lam):
+    """Reference quantile: walk j = 0, 1, ... up the exact CDF of each entry
+    until it reaches u."""
+    counts = np.zeros(u.shape, dtype=np.int64)
+    for i, (ui, rate) in enumerate(zip(u.tolist(), lam.tolist())):
+        j = 0
+        while poisson_interval_prob(rate, 0, j) < ui:
+            j += 1
+        counts[i] = j
+    return counts
+
+
+def walk_sampler(p, n, gen):
+    """Reference sampler: `cdf_walk` below rate 30, numpy's PTRS above."""
+    lam, u, counts = n * p.masses, gen.random(p.k), np.zeros(p.k, dtype=np.int64)
+    small = lam < 30
+    counts[small] = cdf_walk(u[small], lam[small])
+    counts[~small] = gen.poisson(lam[~small])
+    return counts
 
 
 class TestSampling:
@@ -76,19 +111,57 @@ class TestSampling:
 
     @pytest.mark.parametrize("family", ["uniform", "two-level", "zipf:1"])
     def test_poissonized_equals_table_inversion(self, family):
-        # reference: one cumulative-pmf table per distinct small rate
-        def reference(p, n, gen):
-            lam, u, counts = n * p.masses, gen.random(p.k), np.zeros(p.k, dtype=np.int64)
-            for rate in np.unique(lam[(lam > 0) & (lam < 30)]):
-                table = np.cumsum(poisson_pmf(rate, np.arange(int(rate + 40 * math.sqrt(rate + 1) + 30) + 1)))
-                counts[lam == rate] = np.searchsorted(table, u[lam == rate], side="right")
-            counts[lam >= 30] = gen.poisson(lam[lam >= 30])
-            return counts
-
         p = make_distribution(family, 5000)
         for t in range(3):
             got = sample_poissonized(p, 10**4, substream(101, t)).counts
-            assert got.tolist() == reference(p, 10**4, substream(101, t)).tolist()
+            assert got.tolist() == table_inversion(p, 10**4, substream(101, t)).tolist()
+
+    @pytest.mark.parametrize("family", ["two-level", "zipf:1"])
+    def test_kept_rows_over_many_trials_equal_table_inversion(self, family):
+        p = make_distribution(family, 500)
+        for t in range(50):
+            got = sample_poissonized(p, 10**3, substream(202, t)).counts
+            assert got.tolist() == table_inversion(p, 10**3, substream(202, t)).tolist()
+
+    def test_rows_equal_the_walk_at_the_edges(self):
+        # rates exactly 0, just below the PTRS switch and at it, each twice
+        lam = np.repeat([0.0, 2.5, 29.999, 30.0], 2)
+        gen = np.random.default_rng(4)
+        for u in (gen.random(lam.size), np.zeros(lam.size), np.full(lam.size, 1 - 2.0**-53)):
+            assert _poisson_quantile(u, lam).tolist() == cdf_walk(u, lam).tolist()
+        rows = CdfRows(lam)
+        # equal rates share one row; each row ends at 1.0 and never decreases
+        assert rows.first[0] == rows.first[1] and rows.first[4] == rows.first[5]
+        assert rows.first[2] != rows.first[4] and rows.last[0] == rows.first[0]
+        for a, b in zip(rows.first.tolist(), rows.last.tolist()):
+            assert rows.rows[b] == 1.0 and np.all(np.diff(rows.rows[a : b + 1]) >= 0)
+
+    def test_sampled_rows_equal_the_walk_at_the_edges(self):
+        # n = 1024 puts the rates at exactly 0, 29.999, 30 and 2.5 twice
+        n = 1024
+        rates = np.array([0.0, 29.999, 30.0, 2.5, 2.5])
+        p = DiscreteDistribution(np.append(rates / n, 1.0 - rates.sum() / n))
+        assert (n * p.masses[:5]).tolist() == rates.tolist()
+        for t in range(20):
+            got = sample_poissonized(p, n, substream(6, t)).counts
+            assert got.tolist() == walk_sampler(p, n, substream(6, t)).tolist()
+
+    def test_one_distribution_at_two_sample_sizes(self):
+        p = make_distribution("zipf:1", 300)
+        for t in range(4):
+            for n in (200, 3000):
+                got = sample_poissonized(p, n, substream(8, t)).counts
+                assert got.tolist() == walk_sampler(p, n, substream(8, t)).tolist()
+        assert sorted(sampling._KEPT[p]) == [200, 3000]
+
+    def test_rows_released_with_their_distribution(self):
+        p = make_distribution("zipf:1", 400)
+        sample_poissonized(p, 1000, substream(1, 0))
+        rows = weakref.ref(sampling._KEPT[p][1000])
+        kept = len(sampling._KEPT)
+        del p
+        gc.collect()
+        assert rows() is None and len(sampling._KEPT) == kept - 1
 
     @pytest.mark.parametrize(
         "family, n, digests",
